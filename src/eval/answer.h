@@ -40,6 +40,8 @@ struct EvaluatorStats {
   uint64_t max_dictionary_size = 0;
   uint64_t max_join_live = 0;          ///< rank-join tables + heap high-water
   uint64_t rounds = 0;                 ///< distance-aware restarts
+  uint64_t join_pulls = 0;             ///< rows join operators pulled
+  uint64_t instances_opened = 0;       ///< bound-join conjunct instances
 
   void MergeFrom(const EvaluatorStats& other) {
     tuples_popped += other.tuples_popped;
@@ -55,6 +57,8 @@ struct EvaluatorStats {
       max_join_live = other.max_join_live;
     }
     rounds += other.rounds;
+    join_pulls += other.join_pulls;
+    instances_opened += other.instances_opened;
   }
 };
 
@@ -105,7 +109,8 @@ struct EvaluatorOptions {
   size_t top_k_hint = 0;
 
   /// Cooperative cancellation / deadline token, polled at stream-pull
-  /// granularity by ConjunctEvaluator and RankJoinStream. A null (default)
+  /// granularity by ConjunctEvaluator and RankJoinStream, and at every
+  /// instance open by BoundJoinStream. A null (default)
   /// token costs one branch per pull. Expiry fails the stream with
   /// kDeadlineExceeded / kCancelled — distinct from the kResourceExhausted
   /// budget failures above.

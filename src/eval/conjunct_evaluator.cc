@@ -79,6 +79,16 @@ ConjunctEvaluator::ConjunctEvaluator(const GraphStore* graph,
   assert(prepared_->mode != ConjunctMode::kRelax || ontology_ != nullptr);
 }
 
+ConjunctEvaluator::ConjunctEvaluator(const GraphStore* graph,
+                                     const BoundOntology* ontology,
+                                     const PreparedConjunct* prepared,
+                                     const EvaluatorOptions& options,
+                                     NodeId bound_source)
+    : ConjunctEvaluator(graph, ontology, prepared, options) {
+  assert(prepared_->eval_source.is_variable);
+  bound_source_ = bound_source;
+}
+
 void ConjunctEvaluator::Open() {
   if (opened_) return;
   opened_ = true;
@@ -89,6 +99,13 @@ void ConjunctEvaluator::Open() {
   if (target_is_constant_) {
     target_node_ = graph_->FindNode(prepared_->eval_target.name);
     if (!target_node_) return;  // constant absent: conjunct has no answers
+  }
+
+  if (bound_source_ != kInvalidNode) {
+    // A per-binding instance: the variable source is fixed to one node.
+    AddTuple({bound_source_, bound_source_, s0, 0, false});
+    ++stats_.seeds_added;
+    return;
   }
 
   if (!prepared_->eval_source.is_variable) {
@@ -147,8 +164,7 @@ void ConjunctEvaluator::AddTuple(const EvalTuple& tuple) {
 
 void ConjunctEvaluator::CheckBudget() {
   if (options_.max_live_tuples == 0) return;
-  const size_t live = dict_.size() + visited_.size() + answers_.size();
-  if (live > options_.max_live_tuples) {
+  if (live_tuples() > options_.max_live_tuples) {
     status_ = Status::ResourceExhausted(
         "conjunct evaluation exceeded max_live_tuples=" +
         std::to_string(options_.max_live_tuples));

@@ -59,6 +59,16 @@ class ConjunctEvaluator : public AnswerStream {
                     const PreparedConjunct* prepared,
                     const EvaluatorOptions& options);
 
+  /// One instance of a variable-source conjunct restricted to source ==
+  /// `bound_source` (a dependent join's per-binding evaluation): the
+  /// traversal is seeded at that node alone. Unlike the Case-1 constant
+  /// Open there is no name lookup and RELAX seeds no sc-ancestors, so the
+  /// answers are exactly the unbound conjunct's answers with v ==
+  /// bound_source.
+  ConjunctEvaluator(const GraphStore* graph, const BoundOntology* ontology,
+                    const PreparedConjunct* prepared,
+                    const EvaluatorOptions& options, NodeId bound_source);
+
   /// Seeds D_R (the paper's Open). Idempotent; called lazily by Next() too.
   void Open();
 
@@ -69,6 +79,14 @@ class ConjunctEvaluator : public AnswerStream {
   /// True if some tuple or answer exceeded options.max_distance — i.e. a
   /// higher distance ceiling could still produce more answers.
   bool truncated_by_distance() const { return truncated_by_distance_; }
+
+  /// Tuples held against the budget: D_R + visited set + answer map.
+  size_t live_tuples() const {
+    return dict_.size() + visited_.size() + answers_.size();
+  }
+  /// Replaces options.max_live_tuples (a dependent join hands each instance
+  /// what is left of the one budget all its instances share).
+  void set_max_live_tuples(size_t limit) { options_.max_live_tuples = limit; }
 
  private:
   struct VisitedKey {
@@ -121,6 +139,7 @@ class ConjunctEvaluator : public AnswerStream {
   std::unique_ptr<InitialNodeStream> stream_;
   std::vector<NodeId> scratch_neighbors_;
 
+  NodeId bound_source_ = kInvalidNode;  // per-binding instance seed
   std::optional<NodeId> source_node_;  // resolved constant source
   std::optional<NodeId> target_node_;  // resolved constant target
   bool target_is_constant_ = false;

@@ -131,6 +131,32 @@ std::optional<IndexProbeDecision> DecideIndexProbe(
   return decision;
 }
 
+/// True when `conjunct` may be the inner input of a BoundJoin: both
+/// endpoints are variables and no optimisation wrapper replaces its
+/// evaluator (those are drained and HRJN-joined instead).
+bool BindableConjunct(const Conjunct& conjunct,
+                      const QueryEngineOptions& options) {
+  if (!options.use_bound_join || !conjunct.source.is_variable ||
+      !conjunct.target.is_variable) {
+    return false;
+  }
+  if (conjunct.mode == ConjunctMode::kExact) return true;
+  return !options.distance_aware &&
+         !(options.decompose_alternation && CanDecomposeAlternation(conjunct));
+}
+
+/// Collects the conjunct index and bound slot of every BoundJoin's inner
+/// leaf.
+void CollectBoundInners(const PlanNode* node,
+                        std::vector<std::pair<size_t, VarId>>* out) {
+  if (node->is_leaf()) return;
+  if (node->bound_var != kInvalidVar) {
+    out->emplace_back(node->right->conjunct_index, node->bound_var);
+  }
+  CollectBoundInners(node->left.get(), out);
+  CollectBoundInners(node->right.get(), out);
+}
+
 /// EXPLAIN marker appended to a substituted leaf's description.
 std::string IndexProbeMarker(const ClosureShape& shape) {
   std::string marker = " via IndexProbe(";
@@ -285,6 +311,37 @@ Result<std::unique_ptr<BindingStream>> QueryEngine::MakeConjunctStream(
                                               source_slot, target_slot));
 }
 
+Result<BoundConjunct> QueryEngine::MakeBoundConjunct(
+    const Conjunct& conjunct, std::unique_ptr<PreparedConjunct> prepared,
+    VarId bound_slot, const QueryEngineOptions& options,
+    const VarCatalog& catalog) const {
+  BoundConjunct inner;
+  inner.graph = graph_;
+  inner.ontology = bound_ontology();
+  inner.options = options.evaluator;
+  inner.bound_slot = bound_slot;
+  const VarId source_slot = SlotOf(conjunct.source, catalog);
+  const VarId target_slot = SlotOf(conjunct.target, catalog);
+  if (bound_slot == source_slot) {
+    inner.free_slot = target_slot;
+    inner.prepared = std::move(prepared);
+    return inner;
+  }
+  // Bound at the target: (?X, R, ?Y) runs from y as (?Y, R-, ?X), the way
+  // Case 2 of Open runs (?X, R, C).
+  Conjunct reversed;
+  reversed.mode = conjunct.mode;
+  reversed.source = conjunct.target;
+  reversed.target = conjunct.source;
+  reversed.regex = ReverseRegex(*conjunct.regex);
+  Result<PreparedConjunct> p = PrepareConjunct(reversed, *graph_, inner.ontology,
+                                               options.evaluator);
+  if (!p.ok()) return p.status();
+  inner.free_slot = source_slot;
+  inner.prepared = std::make_unique<PreparedConjunct>(std::move(p).value());
+  return inner;
+}
+
 Result<std::unique_ptr<QueryPlan>> QueryEngine::PlanFor(
     const Query& query, const QueryEngineOptions& options,
     std::vector<std::unique_ptr<PreparedConjunct>>* prepared) const {
@@ -334,6 +391,24 @@ Result<std::unique_ptr<QueryPlan>> QueryEngine::PlanFor(
     } else {
       leaf.estimate = EstimateConjunct(*holder, *graph_);
     }
+    leaf.binding.has_constant =
+        !conjunct.source.is_variable || !conjunct.target.is_variable;
+    if (BindableConjunct(conjunct, options)) {
+      leaf.binding.bindable_source = source_slot;
+      leaf.binding.rows_per_source = EstimateRowsPerBinding(
+          *conjunct.regex, leaf.estimate, *graph_, /*from_target=*/false);
+      // The dom/range rule is not symmetric under reversal: it relaxes an
+      // edge to the type of the node it is walked from. With it on, a RELAX
+      // conjunct is only ever bound at its source.
+      const bool reversible =
+          conjunct.mode != ConjunctMode::kRelax ||
+          !options.evaluator.relax.enable_domain_range;
+      if (target_slot != source_slot && reversible) {
+        leaf.binding.bindable_target = target_slot;
+        leaf.binding.rows_per_target = EstimateRowsPerBinding(
+            *conjunct.regex, leaf.estimate, *graph_, /*from_target=*/true);
+      }
+    }
     leaves.push_back(std::move(leaf));
     prepared->push_back(std::move(holder));
   }
@@ -352,6 +427,7 @@ Result<std::unique_ptr<QueryPlan>> QueryEngine::PlanFor(
   } else {
     plan->root = PlanGreedyBushy(std::move(leaves), graph_->NumNodes());
   }
+  if (options.use_bound_join) ChooseBoundJoins(plan->root.get());
   return plan;
 }
 
@@ -378,16 +454,26 @@ Result<std::unique_ptr<QueryResultStream>> QueryEngine::Execute(
   for (const std::string& var : query.head) {
     head_slots.push_back(catalog.Find(var));  // bound: ValidateQuery checked
   }
+  std::vector<std::pair<size_t, VarId>> bound;
+  CollectBoundInners(planned->root.get(), &bound);
+  std::vector<BoundConjunct> bound_inners(query.conjuncts.size());
+  for (const auto& [i, slot] : bound) {
+    Result<BoundConjunct> inner = MakeBoundConjunct(
+        query.conjuncts[i], std::move(prepared[i]), slot, options, catalog);
+    if (!inner.ok()) return inner.status();
+    bound_inners[i] = std::move(inner).value();
+  }
   std::vector<std::unique_ptr<BindingStream>> streams(query.conjuncts.size());
   for (size_t i = 0; i < query.conjuncts.size(); ++i) {
+    if (bound_inners[i].prepared != nullptr) continue;
     Result<std::unique_ptr<BindingStream>> stream = MakeConjunctStream(
         query.conjuncts[i], std::move(prepared[i]), options, catalog);
     if (!stream.ok()) return stream.status();
     streams[i] = std::move(stream).value();
   }
-  std::unique_ptr<BindingStream> tree =
-      CompilePlan(planned->root.get(), &streams,
-                  options.evaluator.max_live_tuples, options.evaluator.cancel);
+  std::unique_ptr<BindingStream> tree = CompilePlan(
+      planned->root.get(), &streams, options.evaluator.max_live_tuples,
+      options.evaluator.cancel, &bound_inners);
   return std::make_unique<QueryResultStream>(query.head, std::move(head_slots),
                                              std::move(tree),
                                              std::move(planned));

@@ -16,6 +16,7 @@
 
 #include "common/flat_hash.h"
 #include "common/pack.h"
+#include "eval/bound_join.h"
 #include "eval/distance_aware.h"
 #include "eval/disjunction.h"
 #include "eval/rank_join.h"
@@ -56,6 +57,15 @@ struct QueryEngineOptions {
   /// distance-aware APPROX retrieval. Off = always walk the NFA product —
   /// the reference behaviour the equivalence property tests compare against.
   bool use_reachability_index = true;
+
+  /// Lets the planner run a variable-to-variable conjunct as the inner
+  /// input of a dependent join (BoundJoin, eval/bound_join.h): evaluated
+  /// once per value of a variable a constant-rooted subtree binds, instead
+  /// of drained over the whole graph and HRJN-joined. Conjuncts wrapped by
+  /// decompose_alternation or distance_aware are always drained. Off = plain
+  /// HRJN everywhere — the reference behaviour the bound-join property
+  /// tests compare against.
+  bool use_bound_join = true;
 
   /// Testing/EXPLAIN hook: when non-empty, overrides plan_mode with a
   /// left-deep tree in this conjunct order (a permutation of
@@ -151,6 +161,14 @@ class QueryEngine {
   /// catalogue (every variable of `conjunct` is already interned). The
   /// decompose-alternation path recompiles per branch and ignores
   /// `prepared`.
+  /// The inner input of a BoundJoin on `bound_slot`: the conjunct prepared
+  /// from that variable — `prepared` itself when it is the source, the
+  /// reversed regex when it is the target.
+  Result<BoundConjunct> MakeBoundConjunct(
+      const Conjunct& conjunct, std::unique_ptr<PreparedConjunct> prepared,
+      VarId bound_slot, const QueryEngineOptions& options,
+      const VarCatalog& catalog) const;
+
   Result<std::unique_ptr<BindingStream>> MakeConjunctStream(
       const Conjunct& conjunct, std::unique_ptr<PreparedConjunct> prepared,
       const QueryEngineOptions& options, const VarCatalog& catalog) const;

@@ -111,6 +111,7 @@ void RankJoinStream::Advance(Side* side, Side* other, bool side_is_left) {
     if (!side->stream->status().ok()) status_ = side->stream->status();
     return;
   }
+  ++pulls_;
   if (!side->seen_any) {
     side->seen_any = true;
     side->bottom = binding.distance;
@@ -230,6 +231,7 @@ bool RankJoinStream::Next(Binding* out) {
 EvaluatorStats RankJoinStream::stats() const {
   EvaluatorStats total = left_.stream->stats();
   total.MergeFrom(right_.stream->stats());
+  total.join_pulls += pulls_;
   if (peak_live_ > total.max_join_live) total.max_join_live = peak_live_;
   return total;
 }
@@ -238,6 +240,7 @@ EvaluatorStats RankJoinStream::OperatorStats() const {
   EvaluatorStats own;
   own.answers_emitted = emitted_;
   own.max_join_live = peak_live_;
+  own.join_pulls = pulls_;
   return own;
 }
 

@@ -126,8 +126,9 @@ class RankJoinStream : public BindingStream {
   const Status& status() const override { return status_; }
   const std::vector<VarId>& variables() const override { return variables_; }
   EvaluatorStats stats() const override;
-  /// This operator's own counters: rows emitted (answers_emitted) and the
-  /// tables + heap high-water (max_join_live).
+  /// This operator's own counters: rows emitted (answers_emitted), rows
+  /// pulled from both children (join_pulls) and the tables + heap
+  /// high-water (max_join_live).
   EvaluatorStats OperatorStats() const override;
 
  private:
@@ -161,6 +162,7 @@ class RankJoinStream : public BindingStream {
   uint32_t cancel_tick_ = 0;  // strided-deadline-check counter
   size_t peak_live_ = 0;  // high-water mark of stored rows + heap candidates
   size_t emitted_ = 0;    // rows this operator released
+  size_t pulls_ = 0;      // rows pulled from both children
   bool pull_left_next_ = true;
   Status status_;
 };

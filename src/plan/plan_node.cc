@@ -34,6 +34,17 @@ std::string VarList(const std::vector<VarId>& vars,
   return out;
 }
 
+/// Operator name of an inner node: the BoundJoin names the variable whose
+/// values drive its instances, the HRJN its join variables.
+std::string JoinName(const PlanNode& node, const VarCatalog& catalog) {
+  if (node.bound_var != kInvalidVar) {
+    return "BoundJoin [" + VarList({node.bound_var}, catalog) + "]";
+  }
+  return node.join_vars.empty()
+             ? std::string("CrossProduct")
+             : "RankJoin [" + VarList(node.join_vars, catalog) + "]";
+}
+
 void AppendNode(const PlanNode& node, const VarCatalog& catalog,
                 bool with_stats, const std::string& prefix,
                 const std::string& child_prefix, std::string* out) {
@@ -57,16 +68,18 @@ void AppendNode(const PlanNode& node, const VarCatalog& catalog,
     return;
   }
 
-  *out += node.join_vars.empty()
-              ? std::string("CrossProduct")
-              : "RankJoin [" + VarList(node.join_vars, catalog) + "]";
+  *out += JoinName(node, catalog);
   *out += "  est=" + FormatEstimate(node.est_cardinality) + " rows";
   if (with_stats && node.stream != nullptr) {
     const EvaluatorStats stats = node.stream->OperatorStats();
     *out += "  {act=" + std::to_string(stats.answers_emitted) + " rows" +
             " err=" + FormatMisestimate(stats.answers_emitted,
                                         node.est_cardinality) +
-            " live-peak=" + std::to_string(stats.max_join_live) + "}";
+            " pulls=" + std::to_string(stats.join_pulls);
+    if (node.bound_var != kInvalidVar) {
+      *out += " instances=" + std::to_string(stats.instances_opened);
+    }
+    *out += " live-peak=" + std::to_string(stats.max_join_live) + "}";
   }
   *out += "\n";
   AppendNode(*node.left, catalog, with_stats, child_prefix + "|-- ",
@@ -96,9 +109,7 @@ void AppendOperatorEvents(const PlanNode& node, const VarCatalog& catalog,
              node.description;
       stats = node.stream->stats();
     } else {
-      name = node.join_vars.empty()
-                 ? std::string("op CrossProduct")
-                 : "op RankJoin [" + VarList(node.join_vars, catalog) + "]";
+      name = "op " + JoinName(node, catalog);
       stats = node.stream->OperatorStats();
     }
     const TraceRecorder::SpanId id = trace->Event(name);
@@ -106,7 +117,9 @@ void AppendOperatorEvents(const PlanNode& node, const VarCatalog& catalog,
                     static_cast<int64_t>(node.est_cardinality));
     trace->Annotate(id, "act_rows",
                     static_cast<int64_t>(stats.answers_emitted));
-    trace->Annotate(id, "pulls", static_cast<int64_t>(stats.tuples_popped));
+    trace->Annotate(id, "pulls",
+                    static_cast<int64_t>(node.is_leaf() ? stats.tuples_popped
+                                                        : stats.join_pulls));
     trace->Annotate(id, "emits",
                     static_cast<int64_t>(stats.answers_emitted));
     if (node.is_leaf()) {
@@ -115,6 +128,10 @@ void AppendOperatorEvents(const PlanNode& node, const VarCatalog& catalog,
     } else {
       trace->Annotate(id, "live_peak",
                       static_cast<int64_t>(stats.max_join_live));
+      if (node.bound_var != kInvalidVar) {
+        trace->Annotate(id, "instances",
+                        static_cast<int64_t>(stats.instances_opened));
+      }
     }
   }
   if (node.left != nullptr) AppendOperatorEvents(*node.left, catalog, trace);

@@ -16,19 +16,38 @@
 
 namespace omega {
 
+/// How a conjunct can take part in a dependent (bound-input) join. Filled
+/// by the engine; the defaults describe a conjunct that can only be drained.
+struct BindingProfile {
+  /// A constant endpoint roots the conjunct, so its rows do not scale with
+  /// the graph: a subtree containing it may drive a BoundJoin.
+  bool has_constant = false;
+  /// Slots a BoundJoin may bind to evaluate this variable-to-variable
+  /// conjunct once per value (kInvalidVar: that endpoint may not be bound).
+  VarId bindable_source = kInvalidVar;
+  VarId bindable_target = kInvalidVar;
+  /// Estimated answer rows per bound value of the source / the target.
+  double rows_per_source = 0;
+  double rows_per_target = 0;
+};
+
 /// One operator of a query plan. Leaves (left == nullptr) evaluate a single
 /// conjunct; inner nodes rank-join their children on `join_vars` (empty:
-/// ranked cross product).
+/// ranked cross product) — by HRJN, or, when `bound_var` is set, as a
+/// BoundJoin that evaluates the right child (a leaf) once per value of
+/// `bound_var` produced by the left child.
 struct PlanNode {
   // --- leaf fields ---------------------------------------------------------
   size_t conjunct_index = 0;  ///< index into Query::conjuncts
   std::string description;    ///< conjunct text, e.g. "(?X, a.b-, ?Y)"
   ConjunctEstimate estimate;  ///< leaf-level estimate
+  BindingProfile binding;     ///< dependent-join eligibility
 
   // --- inner fields --------------------------------------------------------
   std::unique_ptr<PlanNode> left;
   std::unique_ptr<PlanNode> right;
   std::vector<VarId> join_vars;  ///< shared slots joined on (sorted)
+  VarId bound_var = kInvalidVar;  ///< BoundJoin slot; kInvalidVar = HRJN
 
   // --- common --------------------------------------------------------------
   std::vector<VarId> variables;   ///< slots bound below this node (sorted)

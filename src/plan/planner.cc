@@ -14,6 +14,7 @@ std::unique_ptr<PlanNode> MakeLeafNode(PlanLeaf leaf) {
   node->conjunct_index = leaf.conjunct_index;
   node->description = std::move(leaf.description);
   node->estimate = leaf.estimate;
+  node->binding = leaf.binding;
   node->variables = std::move(leaf.variables);
   node->est_cardinality = leaf.estimate.cardinality;
   return node;
@@ -44,6 +45,21 @@ std::unique_ptr<PlanNode> JoinNodes(std::unique_ptr<PlanNode> smaller,
   node->left = std::move(smaller);
   node->right = std::move(larger);
   return node;
+}
+
+/// Per-instance cost of a BoundJoin, in answer rows: building an evaluator,
+/// seeding it and its first expansion.
+constexpr double kInstanceOpenCost = 4;
+
+bool ConstantRooted(const PlanNode& node) {
+  return node.is_leaf() ? node.binding.has_constant
+                        : ConstantRooted(*node.left) ||
+                              ConstantRooted(*node.right);
+}
+
+bool Binds(const PlanNode& node, VarId var) {
+  return var != kInvalidVar &&
+         std::binary_search(node.variables.begin(), node.variables.end(), var);
 }
 
 }  // namespace
@@ -112,9 +128,46 @@ std::unique_ptr<PlanNode> PlanLeftDeep(std::vector<PlanLeaf> leaves,
   return tree;
 }
 
+void ChooseBoundJoins(PlanNode* node) {
+  if (node->is_leaf()) return;
+  ChooseBoundJoins(node->left.get());
+  ChooseBoundJoins(node->right.get());
+  double best_cost = std::numeric_limits<double>::infinity();
+  bool best_swapped = false;
+  for (const bool swapped : {false, true}) {
+    const PlanNode& outer = swapped ? *node->right : *node->left;
+    const PlanNode& inner = swapped ? *node->left : *node->right;
+    if (!inner.is_leaf() || !ConstantRooted(outer)) continue;
+    const BindingProfile& b = inner.binding;
+    VarId var = kInvalidVar;
+    double rows = 0;
+    if (Binds(outer, b.bindable_source)) {
+      var = b.bindable_source;
+      rows = b.rows_per_source;
+    } else if (Binds(outer, b.bindable_target)) {
+      var = b.bindable_target;
+      rows = b.rows_per_target;
+    } else {
+      continue;
+    }
+    const double bound_cost =
+        outer.est_cardinality * (rows + kInstanceOpenCost);
+    const double drain_cost =
+        std::max(inner.estimate.cardinality, inner.estimate.sources);
+    if (bound_cost >= drain_cost || bound_cost >= best_cost) continue;
+    best_cost = bound_cost;
+    best_swapped = swapped;
+    node->bound_var = var;
+  }
+  if (node->bound_var != kInvalidVar && best_swapped) {
+    std::swap(node->left, node->right);
+  }
+}
+
 std::unique_ptr<BindingStream> CompilePlan(
     PlanNode* root, std::vector<std::unique_ptr<BindingStream>>* leaf_streams,
-    size_t max_live_tuples, CancelToken cancel) {
+    size_t max_live_tuples, CancelToken cancel,
+    std::vector<BoundConjunct>* bound_inners) {
   if (root->is_leaf()) {
     std::unique_ptr<BindingStream> stream =
         std::move((*leaf_streams)[root->conjunct_index]);
@@ -122,9 +175,22 @@ std::unique_ptr<BindingStream> CompilePlan(
     root->stream = stream.get();
     return stream;
   }
+  std::unique_ptr<BindingStream> left = CompilePlan(
+      root->left.get(), leaf_streams, max_live_tuples, cancel, bound_inners);
+  if (root->bound_var != kInvalidVar) {
+    assert(bound_inners != nullptr && root->right->is_leaf());
+    BoundConjunct& inner = (*bound_inners)[root->right->conjunct_index];
+    assert(inner.prepared != nullptr && "bound conjunct consumed twice");
+    auto join = std::make_unique<BoundJoinStream>(
+        std::move(left), std::move(inner), max_live_tuples, cancel);
+    root->stream = join.get();
+    root->right->stream = &join->inner_view();
+    return join;
+  }
   auto join = std::make_unique<RankJoinStream>(
-      CompilePlan(root->left.get(), leaf_streams, max_live_tuples, cancel),
-      CompilePlan(root->right.get(), leaf_streams, max_live_tuples, cancel),
+      std::move(left),
+      CompilePlan(root->right.get(), leaf_streams, max_live_tuples, cancel,
+                  bound_inners),
       max_live_tuples, cancel);
   root->stream = join.get();
   return join;

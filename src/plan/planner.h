@@ -3,9 +3,11 @@
 // selectivity-ordered bushy construction (repeatedly join the pair of
 // components with the cheapest estimated output, cross products deferred to
 // last) or a caller-given left-deep order (the seed's textual order, kept as
-// the reference behind QueryEngineOptions::plan_mode). CompilePlan turns any
-// tree shape into the matching RankJoinStream tree — the generalisation of
-// the old left-deep-only BuildJoinTree.
+// the reference behind QueryEngineOptions::plan_mode). ChooseBoundJoins then
+// turns joins of a constant-rooted subtree with a variable-to-variable leaf
+// into dependent joins where that is estimated cheaper. CompilePlan turns any
+// tree shape into the matching RankJoinStream / BoundJoinStream tree — the
+// generalisation of the old left-deep-only BuildJoinTree.
 #ifndef OMEGA_PLAN_PLANNER_H_
 #define OMEGA_PLAN_PLANNER_H_
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/bound_join.h"
 #include "plan/plan_node.h"
 
 namespace omega {
@@ -23,6 +26,7 @@ struct PlanLeaf {
   std::string description;        ///< conjunct text for EXPLAIN
   std::vector<VarId> variables;   ///< slots the conjunct binds (sorted)
   ConjunctEstimate estimate;
+  BindingProfile binding;
 };
 
 /// Greedy selectivity-ordered bushy construction: while more than one
@@ -43,14 +47,27 @@ std::unique_ptr<PlanNode> PlanLeftDeep(std::vector<PlanLeaf> leaves,
                                        const std::vector<size_t>& order,
                                        size_t num_graph_nodes);
 
+/// Turns joins into dependent (bound-input) joins where that is estimated
+/// cheaper. A join qualifies when one child is a subtree rooted at a
+/// constant and the other a leaf that child shares a bindable slot with.
+/// The bound plan costs est(outer) x (rows per binding + a per-instance
+/// open cost); the HRJN plan drains the leaf, which costs at least its
+/// candidate sources and its answers. A chosen join gets `bound_var` set and its
+/// outer subtree moved to the left. Applied bottom-up, so a chain of
+/// variable-to-variable conjuncts hanging off a constant becomes a
+/// left-deep chain of dependent joins.
+void ChooseBoundJoins(PlanNode* root);
+
 /// Compiles `root` into the matching BindingStream tree, moving each leaf's
 /// stream out of `leaf_streams` (indexed by conjunct_index) and recording
-/// observer pointers on the plan nodes for EXPLAIN. Every join operator
-/// enforces `max_live_tuples` on its own tables and heap and polls `cancel`
-/// per pull.
+/// observer pointers on the plan nodes for EXPLAIN. The inner leaf of a
+/// BoundJoin takes its BoundConjunct from `bound_inners` (same indexing)
+/// instead of a stream. Every join operator enforces `max_live_tuples` on
+/// its own state and polls `cancel`.
 std::unique_ptr<BindingStream> CompilePlan(
     PlanNode* root, std::vector<std::unique_ptr<BindingStream>>* leaf_streams,
-    size_t max_live_tuples, CancelToken cancel = {});
+    size_t max_live_tuples, CancelToken cancel = {},
+    std::vector<BoundConjunct>* bound_inners = nullptr);
 
 }  // namespace omega
 

@@ -1,6 +1,7 @@
 #include "plan/statistics.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/flat_hash.h"
 #include "common/pack.h"
@@ -152,6 +153,22 @@ ConjunctEstimate EstimateConjunct(const PreparedConjunct& prepared,
   for (int i = 0; i < variable_endpoints; ++i) domain *= num_nodes;
   est.selectivity = std::clamp(est.cardinality / domain, 0.0, 1.0);
   return est;
+}
+
+double EstimateRowsPerBinding(const RegexNode& regex,
+                              const ConjunctEstimate& estimate,
+                              const GraphStore& graph, bool from_target) {
+  if (regex.op == RegexOp::kLabel) {
+    const std::optional<LabelId> label = graph.labels().Find(regex.label);
+    if (!label.has_value()) return 0;
+    const LabelStats stats = graph.StatsForLabel(*label);
+    // Leaving a tail along the edge fans out to its heads, and vice versa.
+    const bool from_tail =
+        (regex.dir == Direction::kOutgoing) != from_target;
+    return from_tail ? stats.AvgOutDegree() : stats.AvgInDegree();
+  }
+  const double bindings = from_target ? estimate.targets : estimate.sources;
+  return bindings > 0 ? estimate.cardinality / bindings : 0;
 }
 
 ConjunctEstimate EstimateIndexProbe(const IndexProbePlan& plan,

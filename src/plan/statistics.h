@@ -38,6 +38,16 @@ struct ConjunctEstimate {
 ConjunctEstimate EstimateConjunct(const PreparedConjunct& prepared,
                                   const GraphStore& graph);
 
+/// Estimated answer rows of a variable-to-variable conjunct evaluated from
+/// one bound value of its source (`from_target` false) or of its target —
+/// a dependent join's per-instance work. A single-step label is priced by
+/// its mean fan-out from LabelStats (edges / tails, or edges / heads when
+/// walked backwards); anything else by the conjunct estimate's cardinality
+/// per candidate source (target).
+double EstimateRowsPerBinding(const RegexNode& regex,
+                              const ConjunctEstimate& estimate,
+                              const GraphStore& graph, bool from_target);
+
 /// Prices an index-probe substitution from its precomputed reach set — the
 /// exact structure IndexProbeStream will enumerate, so unlike the NFA-level
 /// estimate above this one is a true count, not a heuristic: cardinality is

@@ -276,14 +276,18 @@ TEST(PlannerEngineTest, ExplainQueryRendersTreeWithEstimates) {
   Result<Query> q = ParseQuery(
       "(?X, ?Z) <- (?X, a, ?Y), (?Y, b, ?Z), (?Z, rare, sink)");
   ASSERT_TRUE(q.ok());
-  Result<std::string> text = engine.ExplainQuery(*q);
+  // The HRJN plan (the planner would otherwise pick BoundJoins here; see
+  // ExplainAnalyzeRendersBoundJoins).
+  QueryEngineOptions hrjn;
+  hrjn.use_bound_join = false;
+  Result<std::string> text = engine.ExplainQuery(*q, hrjn);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("RankJoin"), std::string::npos) << *text;
   EXPECT_NE(text->find("(?Z, rare, sink)"), std::string::npos) << *text;
   EXPECT_NE(text->find("est="), std::string::npos) << *text;
 
   // After execution, ExplainString adds per-operator counters.
-  auto stream = engine.Execute(*q);
+  auto stream = engine.Execute(*q, hrjn);
   ASSERT_TRUE(stream.ok());
   QueryAnswer a;
   while ((*stream)->Next(&a)) {
@@ -291,6 +295,47 @@ TEST(PlannerEngineTest, ExplainQueryRendersTreeWithEstimates) {
   const std::string analyzed = (*stream)->ExplainString();
   EXPECT_NE(analyzed.find("popped="), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("live-peak="), std::string::npos) << analyzed;
+  // A join reports the rows it pulled from its children, never 0 once it
+  // has emitted.
+  EXPECT_EQ(analyzed.find("pulls=0 "), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("pulls="), std::string::npos) << analyzed;
+}
+
+TEST(PlannerEngineTest, ExplainAnalyzeRendersBoundJoins) {
+  // (?Z, rare, sink) is rooted at a constant; the two variable-to-variable
+  // conjuncts hang off it as a chain of dependent joins, each evaluated
+  // from the values its outer input binds.
+  GraphStore g = SkewedGraph();
+  QueryEngine engine(&g, nullptr);
+  Result<Query> q = ParseQuery(
+      "(?X, ?Z) <- (?X, a, ?Y), (?Y, b, ?Z), (?Z, rare, sink)");
+  ASSERT_TRUE(q.ok());
+  Result<std::string> text = engine.ExplainQuery(*q);
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("BoundJoin [?Z]"), std::string::npos) << *text;
+  EXPECT_NE(text->find("BoundJoin [?Y]"), std::string::npos) << *text;
+  EXPECT_EQ(text->find("RankJoin"), std::string::npos) << *text;
+
+  auto stream = engine.Execute(*q);
+  ASSERT_TRUE(stream.ok());
+  QueryAnswer a;
+  size_t answers = 0;
+  while ((*stream)->Next(&a)) ++answers;
+  ASSERT_TRUE((*stream)->status().ok());
+  const std::string analyzed = (*stream)->ExplainString();
+  EXPECT_NE(analyzed.find("instances="), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("pulls="), std::string::npos) << analyzed;
+  // The instances' summed counters surface on the inner leaves.
+  EXPECT_NE(analyzed.find("(?X, a, ?Y)  est="), std::string::npos);
+  const EvaluatorStats stats = (*stream)->stats();
+  EXPECT_GT(stats.instances_opened, 0u);
+  EXPECT_GT(stats.join_pulls, 0u);
+
+  QueryEngineOptions hrjn;
+  hrjn.use_bound_join = false;
+  auto reference = engine.ExecuteTopK(*q, 0, hrjn);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(answers, reference->size());
 }
 
 TEST(PlannerEngineTest, ForcedOrderMustBePermutation) {

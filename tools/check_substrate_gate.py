@@ -52,6 +52,9 @@ PAIRINGS = {
     # appending a flat completion summary per request vs no recorder wired.
     # Same near-free claim as _MetricsOn.
     "_RecorderOn": "_RecorderOff",
+    # Dependent join: the probe x RELAX shape evaluated once per probe row
+    # vs HRJN draining the variable-to-variable RELAX conjunct.
+    "_BoundJoin": "_HashRankJoin",
 }
 
 # Pairs that must not merely avoid regressing but beat their baseline by a
@@ -79,6 +82,10 @@ MIN_SPEEDUP = {
     # workload; 3x tolerates the shared final round dominating on small
     # graphs.
     "_DistanceSketch": 3.0,
+    # A handful of per-binding instances against a whole-graph drain: the
+    # L1 graph alone gives ~2 orders of magnitude; under 10x means the
+    # instances started doing whole-graph work.
+    "_BoundJoin": 10.0,
 }
 
 # Pairs whose work accrues on service worker threads while the driving
