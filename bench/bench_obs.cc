@@ -1,18 +1,19 @@
 // Observability overhead gate: the same mixed serving workload (exact /
 // APPROX / RELAX, single- and multi-conjunct, cache-bypassed so the engine
-// actually runs) driven through a QueryService twice:
+// actually runs) driven through a QueryService twice. The service always
+// counts into its registry; the pair measures what reading it costs:
 //
-//   BM_SubstrateObs_ServeMix_MetricsOn   all service/cache instruments live
-//                                        (private MetricsRegistry)
-//   BM_SubstrateObs_ServeMix_MetricsOff  enable_metrics=false: no instruments
-//                                        created, hot paths take the null
-//                                        branch
+//   BM_SubstrateObs_ServeMix_MetricsOn   a poller calls RenderText() and
+//                                        stats() about once a millisecond
+//                                        while the mix runs, as a scraper
+//                                        would
+//   BM_SubstrateObs_ServeMix_MetricsOff  the same mix, nobody polls
 //
 // tools/check_substrate_gate.py pairs them under the default tolerance: the
-// instrumented run must stay within ~10% of the uninstrumented one, i.e.
-// the relaxed-atomic counter/gauge/histogram increments must be near-free
-// on the serving path. Tracing is deliberately not part of the pair — it is
-// an opt-in per-request diagnostic, not an always-on cost.
+// scraped run must stay within ~10% of the unscraped one, i.e. lock-free
+// reads of the instruments must not slow the workers that write them.
+// Tracing is deliberately not part of the pair — it is an opt-in
+// per-request diagnostic, not an always-on cost.
 //
 // A second pair proves the flight recorder's always-on contract the same
 // way:
@@ -26,6 +27,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -142,52 +144,66 @@ size_t DriveClients(QueryService* service) {
   return ok.load();
 }
 
-void ObsBench(benchmark::State& state, bool metrics_on) {
-  // A private registry keeps the gate self-contained (the On run does not
-  // pollute the process-global instruments) while exercising the exact
-  // production code path. It must outlive the service and its epochs —
-  // declared first, destroyed last.
+void ObsBench(benchmark::State& state, bool scrape) {
+  // The injected registry is what the poller renders; it must outlive the
+  // service and its epochs — declared first, destroyed last.
   MetricsRegistry registry;
   QueryServiceOptions options;
   options.num_workers = 2;
   options.max_queue = 1024;  // admission never skews the pair
-  options.enable_metrics = metrics_on;
   options.metrics = &registry;
   QueryService service(&ServingGraph(), &ServingOntology(),
                        std::move(options));
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> polls{0};
+  std::thread poller;
+  if (scrape) {
+    poller = std::thread([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        benchmark::DoNotOptimize(registry.RenderText());
+        benchmark::DoNotOptimize(service.stats());
+        polls.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
   size_t total_ok = 0;
   for (auto _ : state) {
     total_ok += DriveClients(&service);
   }
+  if (scrape) {
+    stop.store(true, std::memory_order_relaxed);
+    poller.join();
+    if (polls.load() == 0) state.SkipWithError("the poller never ran");
+  }
   if (total_ok != state.iterations() * kClientThreads * kRequestsPerClient) {
     state.SkipWithError("some requests failed");
   }
-  if (metrics_on &&
-      registry.GetCounter("omega_service_submitted_total")->Value() <
-          total_ok) {
-    state.SkipWithError("metrics-on run did not record submissions");
+  if (registry.GetCounter("omega_service_submitted_total")->Value() <
+      total_ok) {
+    state.SkipWithError("the registry did not record the submissions");
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_ok));
 }
 
 void BM_SubstrateObs_ServeMix_MetricsOn(benchmark::State& state) {
-  ObsBench(state, /*metrics_on=*/true);
+  ObsBench(state, /*scrape=*/true);
 }
 BENCHMARK(BM_SubstrateObs_ServeMix_MetricsOn)->UseRealTime();
 
 void BM_SubstrateObs_ServeMix_MetricsOff(benchmark::State& state) {
-  ObsBench(state, /*metrics_on=*/false);
+  ObsBench(state, /*scrape=*/false);
 }
 BENCHMARK(BM_SubstrateObs_ServeMix_MetricsOff)->UseRealTime();
 
 void RecorderBench(benchmark::State& state, bool recorder_on) {
-  // Metrics stay off in both runs so the pair isolates the recorder's cost;
-  // the recorder must outlive the service (declared first).
+  // Both runs count into the service's own registry, so the pair isolates
+  // the recorder's cost; the recorder must outlive the service (declared
+  // first).
   FlightRecorder recorder;
   QueryServiceOptions options;
   options.num_workers = 2;
   options.max_queue = 1024;
-  options.enable_metrics = false;
   options.flight_recorder = recorder_on ? &recorder : nullptr;
   QueryService service(&ServingGraph(), &ServingOntology(),
                        std::move(options));

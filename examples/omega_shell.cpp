@@ -35,7 +35,6 @@
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/process_metrics.h"
 #include "obs/trace.h"
 #include "ontology/ontology_io.h"
 #include "plan/plan_node.h"
@@ -157,13 +156,10 @@ class Shell {
       std::vector<std::string> rest(words.begin() + 1, words.end());
       Explain(Join(rest, " "));
     } else if (cmd == ".metrics") {
-      // Route through the admin-plane service's injected registry when one
-      // is running, so `.metrics` and `GET /metrics` agree; fall back to
-      // the process-global registry otherwise.
-      MetricsRegistry* registry =
-          EffectiveMetricsRegistry(admin_service_.get());
-      UpdateProcessSelfMetrics(registry);
-      const std::string rendered = registry->RenderText();
+      // What `GET /metrics` renders: the process-wide families, including
+      // the service families `.serve` counts into Global().
+      const std::string rendered =
+          RenderMetrics(MetricsRegistry::Global(), admin_service_.get());
       if (words.size() >= 2) {
         std::FILE* f = std::fopen(words[1].c_str(), "w");
         if (f == nullptr) {
@@ -445,6 +441,8 @@ class Shell {
     service_options.num_workers = workers;
     service_options.max_queue = std::max<size_t>(64, clients * 2);
     service_options.engine = options_;
+    // Its own registry, not Global(): it may run beside the admin-plane
+    // service, and its table reports this replay and its swap alone.
     QueryService service(dataset_, service_options);
 
     const size_t total = clients * repeat;
@@ -623,6 +621,9 @@ class Shell {
     service_options.num_workers = 4;
     service_options.engine = options_;
     service_options.flight_recorder = flight_recorder_.get();
+    // `.serve` traffic lands in Global() with or without the admin plane,
+    // so `.metrics` and /metrics render one set of service families.
+    service_options.metrics = MetricsRegistry::Global();
     admin_service_ = std::make_unique<QueryService>(dataset_,
                                                     service_options);
     AdminServerOptions server_options;
@@ -685,6 +686,10 @@ class Shell {
       service_options.num_workers = workers;
       service_options.max_queue = std::max<size_t>(64, clients * 2);
       service_options.engine = options_;
+      // Counts outlive this service in Global(), so `.metrics` shows them;
+      // the stats table below is therefore the session's, as with the
+      // admin plane's service.
+      service_options.metrics = MetricsRegistry::Global();
       local_service =
           std::make_unique<QueryService>(dataset_, service_options);
       service = local_service.get();

@@ -11,10 +11,12 @@
 // is implied by this variable" — anything needing publication order
 // (handing an object to another thread) must go through a Mutex or a
 // release-ordered primitive instead, and should say why in a comment.
+// OrderedCounter below is that primitive for monotonic counters.
 #ifndef OMEGA_COMMON_ATOMICS_H_
 #define OMEGA_COMMON_ATOMICS_H_
 
 #include <atomic>
+#include <cstdint>
 #include <type_traits>
 
 namespace omega {
@@ -56,8 +58,37 @@ class RelaxedAtomic {
     return value_.exchange(value, std::memory_order_relaxed);
   }
 
+  /// Raises the value to `value` if that is larger.
+  void StoreMax(T value) {
+    T seen = Load();
+    while (seen < value && !value_.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
  private:
   std::atomic<T> value_{};
+};
+
+/// Lock-free monotonic counter whose increments publish: FetchAdd is a
+/// release RMW and Load an acquire load. All increments are RMWs, so a Load
+/// returning N synchronises with each of the N increments and sees what
+/// their threads did before them. So when every increment of counter B
+/// follows one of counter A, reading B and then A never shows more B.
+class OrderedCounter {
+ public:
+  OrderedCounter() = default;
+  OrderedCounter(const OrderedCounter&) = delete;
+  OrderedCounter& operator=(const OrderedCounter&) = delete;
+
+  uint64_t Load() const { return value_.load(std::memory_order_acquire); }
+  void FetchAdd(uint64_t delta) {
+    value_.fetch_add(delta, std::memory_order_release);
+  }
+
+ private:
+  static_assert(std::atomic<uint64_t>::is_always_lock_free);
+  std::atomic<uint64_t> value_{0};
 };
 
 }  // namespace omega

@@ -25,11 +25,14 @@ std::string NotReadyReason(const AdminServer* server,
 
 }  // namespace
 
-MetricsRegistry* EffectiveMetricsRegistry(const QueryService* service) {
-  if (service != nullptr && service->metrics_registry() != nullptr) {
-    return service->metrics_registry();
+std::string RenderMetrics(MetricsRegistry* base, const QueryService* service) {
+  // Self-metrics are pull-refreshed: the render is the poll.
+  UpdateProcessSelfMetrics(base);
+  std::string text = base->RenderText();
+  if (service != nullptr && service->metrics_registry() != base) {
+    text += service->metrics_registry()->RenderText();
   }
-  return MetricsRegistry::Global();
+  return text;
 }
 
 FlightRecorder* EffectiveFlightRecorder(const QueryService* service) {
@@ -73,11 +76,9 @@ void RegisterOpsRoutes(AdminServer* server, const OpsPlaneOptions& options) {
   server->Route(
       "/metrics", "Prometheus text exposition",
       [ops](const HttpRequest&) {
-        // Self-metrics are pull-refreshed: the scrape is the poll.
-        UpdateProcessSelfMetrics(ops.metrics);
         HttpResponse response;
         response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        response.body = ops.metrics->RenderText();
+        response.body = RenderMetrics(ops.metrics, ops.service);
         return response;
       });
 

@@ -3,7 +3,7 @@
 // registered endpoints:
 //
 //   /          route index
-//   /metrics   Prometheus exposition (refreshes process self-metrics first)
+//   /metrics   Prometheus exposition (RenderMetrics below)
 //   /healthz   liveness — 200 while the process can answer at all
 //   /readyz    readiness — 200 only when a dataset-backed service is
 //              attached, accepting submissions, and the server isn't
@@ -12,10 +12,9 @@
 //   /tracez    flight-recorder summaries + slow-query traces as JSON
 //   /eventz    structured event journal as JSON
 //
-// Also home to the surface-selection helpers the shell shares: `.metrics`,
-// `.trace save` and `.slowlog` must follow the service's *injected*
-// registry/recorder when one was supplied, falling back to the process
-// globals — the same resolution the HTTP handlers use.
+// Also home to the helpers the shell shares: `.metrics` renders what
+// /metrics does, and `.trace save` and `.slowlog` follow the service's
+// injected flight recorder — the same resolution the HTTP handlers use.
 #ifndef OMEGA_NET_OPS_ROUTES_H_
 #define OMEGA_NET_OPS_ROUTES_H_
 
@@ -30,7 +29,7 @@ class MetricsRegistry;
 class QueryService;
 
 struct OpsPlaneOptions {
-  /// Registry /metrics and /statusz render; nullptr selects
+  /// Registry /metrics renders before the service's; nullptr selects
   /// MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;
   /// Flight recorder behind /tracez; nullable (renders an empty body).
@@ -51,10 +50,9 @@ struct OpsPlaneOptions {
 /// `options` into the handlers; the pointed-to surfaces are borrowed.
 void RegisterOpsRoutes(AdminServer* server, const OpsPlaneOptions& options);
 
-/// The registry `service` exports into when it has one (injected or
-/// global); MetricsRegistry::Global() when `service` is null or has
-/// metrics disabled. Never null.
-MetricsRegistry* EffectiveMetricsRegistry(const QueryService* service);
+/// Exposition of `base` (process self-metrics refreshed first), then of
+/// `service`'s registry if that is another one: each family renders once.
+std::string RenderMetrics(MetricsRegistry* base, const QueryService* service);
 
 /// The service's attached flight recorder, or null when `service` is null
 /// or records no flights.

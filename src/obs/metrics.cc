@@ -51,17 +51,13 @@ void Histogram::Observe(uint64_t value) {
   size_t i = 0;
   while (i < bounds_.size() && value > bounds_[i]) ++i;
   buckets_[i].FetchAdd(1);
-  count_.FetchAdd(1);
   sum_.FetchAdd(value);
+  count_.FetchAdd(1);  // last: publishes the bucket and sum adds above
 }
 
 std::vector<uint64_t> Histogram::LatencyBoundsUs() {
   return {50,    100,   250,    500,    1000,   2500,   5000,
           10000, 25000, 50000, 100000, 250000, 1000000};
-}
-
-std::vector<uint64_t> Histogram::CardinalityBounds() {
-  return {1, 10, 100, 1000, 10000, 100000, 1000000};
 }
 
 MetricsRegistry* MetricsRegistry::Global() {

@@ -1,14 +1,20 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms with a Prometheus-style text exposition (RenderText). The
-// registry is the aggregation side of the observability layer — per-query
-// TraceRecorder spans (obs/trace.h) roll up into these families, and the
-// upcoming network front end serves RenderText() verbatim.
+// Metrics registry: named counters, gauges, and fixed-bucket histograms
+// with a Prometheus-style text exposition (RenderText). It is the only
+// store of serving facts: a QueryService counts into one registry and
+// builds ServiceStats from reads of it. Process-wide families (process,
+// snapshot, index, engine, admin) live in Global().
 //
 // Concurrency model, on the annotated lock layer:
-//  - Instrument values (Counter/Gauge/Histogram cells) are RelaxedAtomic:
-//    monotonic statistics where any interleaving of relaxed increments and
-//    reads is a correct outcome, so a hot-path Increment() is one relaxed
-//    fetch_add — no lock, no allocation.
+//  - Instrument values are lock-free atomics: a hot-path Increment() is one
+//    atomic add — no lock, no allocation.
+//  - Counter increments and histogram counts are release RMWs read with
+//    acquire loads (common/atomics.h OrderedCounter); Observe() adds the
+//    bucket and sum before the count. QueryService relies on this: each
+//    submission (swap) is counted before its completion (drain), and
+//    stats() reads completions and drains first, so no snapshot shows a
+//    completion without its submission or a drain without its swap.
+//  - Gauges and histogram buckets/sums are RelaxedAtomic: any interleaving
+//    is a correct outcome.
 //  - The name -> instrument map is OMEGA_GUARDED_BY(mu_). GetOrCreate*() is
 //    a setup-path operation (service construction, first use of a family);
 //    callers cache the returned pointer and never touch the map on the hot
@@ -16,7 +22,7 @@
 //
 // Histograms are integer-valued on purpose: latencies are observed in
 // microseconds and cardinalities in rows, so every cell stays a lock-free
-// RelaxedAtomic<uint64_t> instead of an atomic<double> read-modify-write.
+// integer instead of an atomic<double> read-modify-write.
 #ifndef OMEGA_OBS_METRICS_H_
 #define OMEGA_OBS_METRICS_H_
 
@@ -32,7 +38,7 @@
 
 namespace omega {
 
-/// Monotonically increasing counter. Zero-allocation, lock-free increments.
+/// Monotonic counter: release increments, acquire reads (see above).
 class Counter {
  public:
   Counter() = default;
@@ -43,11 +49,11 @@ class Counter {
   uint64_t Value() const { return value_.Load(); }
 
  private:
-  // RelaxedAtomic: monotonic statistic, readers tolerate any stale value.
-  RelaxedAtomic<uint64_t> value_;
+  OrderedCounter value_;
 };
 
-/// Signed level gauge (queue depth, mapped bytes, in-flight queries).
+/// Signed level gauge (queue depth, mapped bytes), or a max-gauge raised
+/// only through SetMax().
 class Gauge {
  public:
   Gauge() = default;
@@ -56,6 +62,7 @@ class Gauge {
 
   void Set(int64_t value) { value_.Store(value); }
   void Add(int64_t delta) { value_.FetchAdd(delta); }
+  void SetMax(int64_t value) { value_.StoreMax(value); }
   int64_t Value() const { return value_.Load(); }
 
  private:
@@ -65,8 +72,8 @@ class Gauge {
 
 /// Fixed-bucket histogram over non-negative integer samples (microseconds
 /// for latencies, rows for cardinalities). Bucket bounds are immutable after
-/// construction, so Observe() is a read-only scan over `bounds_` plus two
-/// relaxed increments — lock-free and allocation-free.
+/// construction, so Observe() is a read-only scan over `bounds_` plus three
+/// atomic adds — lock-free and allocation-free.
 class Histogram {
  public:
   /// `bounds` are inclusive upper bounds, strictly ascending; an implicit
@@ -85,17 +92,14 @@ class Histogram {
 
   /// Default bounds for microsecond latencies: 50us .. 1s.
   static std::vector<uint64_t> LatencyBoundsUs();
-  /// Default bounds for row cardinalities: 1 .. 1M.
-  static std::vector<uint64_t> CardinalityBounds();
 
  private:
   const std::vector<uint64_t> bounds_;  // immutable after construction
-  // RelaxedAtomic cells: per-bucket monotonic tallies; a render racing an
-  // Observe may see count_ without the matching bucket yet, which is an
-  // acceptable in-flight skew for an exposition snapshot.
+  // Added before count_: a render may see an observation in a bucket but
+  // not yet in the count, an acceptable in-flight skew for an exposition.
   std::vector<RelaxedAtomic<uint64_t>> buckets_;  // bounds_.size() + 1
-  RelaxedAtomic<uint64_t> count_;
   RelaxedAtomic<uint64_t> sum_;
+  OrderedCounter count_;
 };
 
 /// Owns instruments keyed by (name, labels) and renders them in the
@@ -107,8 +111,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-global registry (never destroyed: instrument cells may be
-  /// touched by detached epochs draining after static teardown begins).
+  /// Registry of the process-wide families (never destroyed: a snapshot
+  /// mapping may be released, updating its gauge, during static teardown).
+  /// A QueryService counts into it only when it is injected.
   static MetricsRegistry* Global();
 
   /// `labels` is a raw Prometheus label body, e.g. `class="EXACT"` (empty

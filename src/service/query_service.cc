@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -15,65 +16,126 @@
 
 namespace omega {
 
-/// Epoch retire/drain bookkeeping shared between the service (SwapDataset
-/// records retirement) and every published epoch's deleter (the last pin
-/// drop records the drain). Outlives both sides via shared_ptr: the final
-/// pin on a retired epoch may be a ticket a client holds after the service
-/// is gone, so the deleter must never call back into the service.
-struct EpochDrainTracker {
-  Mutex mu;
-  /// Epochs retired but not yet drained: id -> retire timestamp. Tiny —
-  /// bounded by the number of epochs still pinned by in-flight queries.
-  std::vector<std::pair<uint64_t, std::chrono::steady_clock::time_point>>
-      retired_at OMEGA_GUARDED_BY(mu);
-  uint64_t retired OMEGA_GUARDED_BY(mu) = 0;
-  uint64_t drained OMEGA_GUARDED_BY(mu) = 0;
-  double drain_ms_total OMEGA_GUARDED_BY(mu) = 0;
-  double drain_ms_max OMEGA_GUARDED_BY(mu) = 0;
-  /// Registry sink (null when metrics are disabled). Written once at
-  /// service construction, before any epoch exists; the histogram's cells
-  /// are relaxed-atomic, so observing outside `mu` would also be safe.
-  Histogram* drain_us = nullptr;
-  /// Lifecycle journal for drain events. Written once at construction;
-  /// never null afterwards (defaults to EventLog::Global(), which outlives
-  /// any detached epoch deleter).
-  EventLog* events = nullptr;
+namespace {
+
+/// One series per EvaluatorStats member, labelled by query class: summed
+/// members are `_total` counters, the two high-water members max-gauges.
+struct EvalSeries {
+  const char* name;
+  uint64_t EvaluatorStats::*field;
+  bool high_water;
 };
+#define OMEGA_EVAL_SERIES(field, high_water) \
+  {"omega_service_eval_" #field, &EvaluatorStats::field, high_water}
+constexpr EvalSeries kEvalSeries[] = {
+    OMEGA_EVAL_SERIES(tuples_popped, false),
+    OMEGA_EVAL_SERIES(tuples_pushed, false),
+    OMEGA_EVAL_SERIES(succ_expansions, false),
+    OMEGA_EVAL_SERIES(neighbor_group_fetches, false),
+    OMEGA_EVAL_SERIES(answers_emitted, false),
+    OMEGA_EVAL_SERIES(seeds_added, false),
+    OMEGA_EVAL_SERIES(max_dictionary_size, true),
+    OMEGA_EVAL_SERIES(max_join_live, true),
+    OMEGA_EVAL_SERIES(rounds, false),
+    OMEGA_EVAL_SERIES(join_pulls, false),
+    OMEGA_EVAL_SERIES(instances_opened, false),
+};
+#undef OMEGA_EVAL_SERIES
+constexpr size_t kNumEvalSeries = std::size(kEvalSeries);
+// A new EvaluatorStats member needs a row above, or it is counted nowhere.
+static_assert(sizeof(EvaluatorStats) == kNumEvalSeries * sizeof(uint64_t));
+
+/// omega_service_completed_total series, in ServiceStats field order.
+constexpr const char* kStatusLabels[] = {
+    "status=\"ok\"", "status=\"cancelled\"", "status=\"deadline\"",
+    "status=\"error\""};
+size_t StatusIndex(const Status& status) {
+  if (status.ok()) return 0;
+  if (status.IsCancelled()) return 1;
+  return status.IsDeadlineExceeded() ? 2 : 3;
+}
+
+/// Nearest whole microsecond: summed observations stay unbiased.
+uint64_t ToUs(double ms) { return static_cast<uint64_t>(ms * 1000.0 + 0.5); }
+double ToMs(uint64_t us) { return static_cast<double>(us) / 1000.0; }
+
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 /// Cached instrument pointers, resolved once at construction: hot paths
-/// (Submit, WorkerLoop, Complete) do relaxed increments through these and
-/// never touch the registry map.
+/// (Submit, WorkerLoop, Complete) do atomic adds through these and never
+/// touch the registry map. Immutable; every published epoch's deleter
+/// co-owns it, with the registry, because the last pin on a retired epoch
+/// may outlive the service.
 struct QueryService::ServiceMetrics {
-  explicit ServiceMetrics(MetricsRegistry* registry) {
+  /// Every completion observes its queue wait: the count is the queries.
+  struct PerClass {
+    Histogram* queue_wait_us;
+    Histogram* exec_us;
+    Counter* failures;
+    Counter* cache_hits;    ///< completed requests served from the cache
+    Counter* cache_misses;  ///< ... that consulted it and were not
+    Counter* join_rows;
+    /// kEvalSeries order; a counter or (high-water rows) a max-gauge.
+    Counter* eval_sum[kNumEvalSeries] = {};
+    Gauge* eval_max[kNumEvalSeries] = {};
+  };
+
+  ServiceMetrics(std::shared_ptr<MetricsRegistry> owned, EventLog* events_in)
+      : registry(std::move(owned)), events(events_in) {
     submitted = registry->GetCounter("omega_service_submitted_total",
                                      "Admitted submissions (incl. hits)");
     rejected = registry->GetCounter("omega_service_rejected_total",
                                     "Admission-queue-full rejections");
-    const char* completed_help = "Request completions by status";
-    completed_ok = registry->GetCounter("omega_service_completed_total",
-                                        completed_help, "status=\"ok\"");
-    completed_cancelled = registry->GetCounter(
-        "omega_service_completed_total", completed_help,
-        "status=\"cancelled\"");
-    completed_deadline = registry->GetCounter("omega_service_completed_total",
-                                              completed_help,
-                                              "status=\"deadline\"");
-    completed_error = registry->GetCounter("omega_service_completed_total",
-                                           completed_help, "status=\"error\"");
+    for (size_t i = 0; i < std::size(kStatusLabels); ++i) {
+      completed[i] = registry->GetCounter("omega_service_completed_total",
+                                          "Request completions by status",
+                                          kStatusLabels[i]);
+    }
     queue_depth = registry->GetGauge("omega_service_queue_depth",
                                      "Requests waiting in the admission "
                                      "queue");
     in_flight = registry->GetGauge("omega_service_in_flight",
                                    "Requests currently executing on workers");
-    queue_wait_us = registry->GetHistogram("omega_service_queue_wait_us",
-                                           "Admission-queue wait");
     for (size_t i = 0; i < kNumQueryClasses; ++i) {
       const std::string labels =
           std::string("class=\"") +
           QueryClassToString(static_cast<QueryClass>(i)) + "\"";
-      exec_us[i] = registry->GetHistogram(
+      auto counter = [&](std::string_view name, std::string_view help) {
+        return registry->GetCounter(name, help, labels);
+      };
+      PerClass& c = per_class[i];
+      c.queue_wait_us = registry->GetHistogram(
+          "omega_service_queue_wait_us",
+          "Admission-queue wait by class, observed at every completion",
+          labels);
+      c.exec_us = registry->GetHistogram(
           "omega_service_exec_us", "Engine execution time by query class",
           labels);
+      c.failures = counter("omega_service_failures_total",
+                           "Non-OK completions by query class");
+      c.cache_hits = counter("omega_service_cache_hits_total",
+                             "Completed requests served from the cache");
+      c.cache_misses = counter("omega_service_cache_misses_total",
+                               "Completed requests that consulted the "
+                               "cache and were not served from it");
+      c.join_rows = counter("omega_service_join_rows_total",
+                            "Rows released by rank-join operators");
+      for (size_t f = 0; f < kNumEvalSeries; ++f) {
+        const std::string name = kEvalSeries[f].name;
+        if (kEvalSeries[f].high_water) {
+          c.eval_max[f] = registry->GetGauge(
+              name, "Evaluator high-water mark", labels);
+        } else {
+          c.eval_sum[f] = counter(name + "_total",
+                                  "Evaluator counter of executed queries");
+        }
+      }
     }
     cache_hits = registry->GetCounter("omega_cache_hits_total",
                                       "Result-cache hits");
@@ -93,18 +155,40 @@ struct QueryService::ServiceMetrics {
     epoch_drain_us = registry->GetHistogram(
         "omega_service_epoch_drain_us",
         "Retired-epoch drain time (retire to last pin drop)");
+    epoch_drain_ns = registry->GetCounter(
+        "omega_service_epoch_drain_ns_total",
+        "Summed retired-epoch drain time in nanoseconds");
+    epoch_drain_max_ns = registry->GetGauge(
+        "omega_service_epoch_drain_max_ns",
+        "Longest retired-epoch drain in nanoseconds");
   }
 
+  /// Epoch-deleter body: the last pin on `epoch` just dropped. The live
+  /// epoch at service destruction was never retired and is skipped.
+  void RecordDrain(const DatasetEpoch& epoch) const {
+    const int64_t retired_at = epoch.retired_at_ns.Load();
+    if (retired_at == 0) return;
+    // Drains often take a microsecond or two, so their time is summed in
+    // nanoseconds; the histogram buckets them and its count comes last.
+    const int64_t ns = SteadyNowNs() - retired_at;
+    const double ms = static_cast<double>(ns) / 1e6;
+    epoch_drain_ns->Increment(static_cast<uint64_t>(ns));
+    epoch_drain_max_ns->SetMax(ns);
+    epoch_drain_us->Observe(ToUs(ms));
+    char msg[96];
+    std::snprintf(msg, sizeof(msg), "epoch %llu drained after %.1f ms",
+                  static_cast<unsigned long long>(epoch.id), ms);
+    events->Record(EventSeverity::kInfo, "service", msg);
+  }
+
+  const std::shared_ptr<MetricsRegistry> registry;  ///< keeps all alive
+  EventLog* const events;                           ///< never null
   Counter* submitted;
   Counter* rejected;
-  Counter* completed_ok;
-  Counter* completed_cancelled;
-  Counter* completed_deadline;
-  Counter* completed_error;
+  Counter* completed[std::size(kStatusLabels)];  ///< by StatusIndex()
   Gauge* queue_depth;
   Gauge* in_flight;
-  Histogram* queue_wait_us;
-  Histogram* exec_us[kNumQueryClasses];
+  PerClass per_class[kNumQueryClasses];
   Counter* cache_hits;
   Counter* cache_misses;
   Counter* cache_insertions;
@@ -113,38 +197,9 @@ struct QueryService::ServiceMetrics {
   Counter* swaps;
   Histogram* swap_us;
   Histogram* epoch_drain_us;
+  Counter* epoch_drain_ns;
+  Gauge* epoch_drain_max_ns;
 };
-
-namespace {
-
-/// Epoch-deleter body: the last pin on a *retired* epoch just dropped. The
-/// live epoch at service destruction has no retire record and is skipped.
-void RecordEpochDrained(EpochDrainTracker& tracker, uint64_t epoch_id) {
-  const auto now = std::chrono::steady_clock::now();
-  MutexLock lock(tracker.mu);
-  for (auto it = tracker.retired_at.begin(); it != tracker.retired_at.end();
-       ++it) {
-    if (it->first != epoch_id) continue;
-    const double ms =
-        std::chrono::duration<double, std::milli>(now - it->second).count();
-    ++tracker.drained;
-    tracker.drain_ms_total += ms;
-    tracker.drain_ms_max = std::max(tracker.drain_ms_max, ms);
-    if (tracker.drain_us != nullptr) {
-      tracker.drain_us->Observe(static_cast<uint64_t>(ms * 1000.0));
-    }
-    tracker.retired_at.erase(it);
-    if (tracker.events != nullptr) {
-      char msg[96];
-      std::snprintf(msg, sizeof(msg), "epoch %llu drained after %.1f ms",
-                    static_cast<unsigned long long>(epoch_id), ms);
-      tracker.events->Record(EventSeverity::kInfo, "service", msg);
-    }
-    return;
-  }
-}
-
-}  // namespace
 
 namespace {
 
@@ -178,18 +233,14 @@ static_assert(
     std::is_same_v<decltype(&BoundOntology::NodeDownSet),
                    const OidSet& (BoundOntology::*)(NodeId) const>);
 
-/// Sums the rank-join operators' own counters over the compiled plan tree
-/// (leaves report through the merged stream stats instead).
-void SumJoinOperatorStats(const PlanNode* node, uint64_t* rows,
-                          uint64_t* max_live) {
-  if (node == nullptr || node->is_leaf()) return;
-  if (node->stream != nullptr) {
-    const EvaluatorStats op = node->stream->OperatorStats();
-    *rows += op.answers_emitted;
-    *max_live = std::max(*max_live, op.max_join_live);
-  }
-  SumJoinOperatorStats(node->left.get(), rows, max_live);
-  SumJoinOperatorStats(node->right.get(), rows, max_live);
+/// Sums the rows the rank-join operators released over the compiled plan
+/// tree (leaves report through the merged stream stats instead).
+uint64_t SumJoinRows(const PlanNode* node) {
+  if (node == nullptr || node->is_leaf()) return 0;
+  const uint64_t own =
+      node->stream != nullptr ? node->stream->OperatorStats().answers_emitted
+                              : 0;
+  return own + SumJoinRows(node->left.get()) + SumJoinRows(node->right.get());
 }
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -230,18 +281,17 @@ QueryService::QueryService(const GraphStore* graph, const Ontology* ontology,
         std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   options_.max_queue = std::max<size_t>(options_.max_queue, 1);
-  if (options_.enable_metrics) {
-    registry_ = options_.metrics != nullptr ? options_.metrics
-                                            : MetricsRegistry::Global();
-    metrics_ = std::make_unique<const ServiceMetrics>(registry_);
-    metrics_->workers->Set(static_cast<int64_t>(options_.num_workers));
-  }
   events_ =
       options_.events != nullptr ? options_.events : EventLog::Global();
-  drain_tracker_ = std::make_shared<EpochDrainTracker>();
-  drain_tracker_->drain_us =
-      metrics_ != nullptr ? metrics_->epoch_drain_us : nullptr;
-  drain_tracker_->events = events_;
+  // An injected registry is borrowed (its owner keeps it alive past every
+  // epoch); otherwise the service and its epochs co-own a private one.
+  metrics_ = std::make_shared<const ServiceMetrics>(
+      options_.metrics != nullptr
+          ? std::shared_ptr<MetricsRegistry>(options_.metrics,
+                                             [](MetricsRegistry*) {})
+          : std::make_shared<MetricsRegistry>(),
+      events_);
+  metrics_->workers->Set(static_cast<int64_t>(options_.num_workers));
   epoch_ = MakeEpoch(/*id=*/0, std::move(dataset), graph, ontology);
   running_.resize(options_.num_workers);
   workers_.reserve(options_.num_workers);
@@ -265,30 +315,18 @@ std::shared_ptr<const DatasetEpoch> QueryService::MakeEpoch(
     const GraphStore* graph, const Ontology* ontology) const {
   std::unique_ptr<ResultCache> cache;
   if (options_.cache_entries > 0) {
-    ResultCacheExternalCounters external;
-    if (metrics_ != nullptr) {
-      // Registry cache counters are monotonic across epochs and cache
-      // generations (Prometheus semantics); the cache's own counters stay
-      // per-generation for ServiceStats hit rates.
-      external.hits = metrics_->cache_hits;
-      external.misses = metrics_->cache_misses;
-      external.insertions = metrics_->cache_insertions;
-      external.evictions = metrics_->cache_evictions;
-    }
     cache = std::make_unique<ResultCache>(options_.cache_entries,
-                                          options_.cache_shards, external);
+                                          options_.cache_shards);
   }
   // QueryEngine's constructor binds the ontology against the graph
   // (BoundOntology precompute) — per epoch, not per query.
   auto epoch = std::make_unique<DatasetEpoch>(id, std::move(dataset), graph,
                                               ontology, std::move(cache));
   // Custom deleter so the last pin drop on a retired epoch records the
-  // drain. The tracker is captured by shared_ptr because a ticket (and
-  // therefore the epoch it pins) may legitimately outlive the service.
-  std::shared_ptr<EpochDrainTracker> tracker = drain_tracker_;
+  // drain, possibly after the service is gone (a client may hold a ticket).
   return std::shared_ptr<const DatasetEpoch>(
-      epoch.release(), [tracker](const DatasetEpoch* e) {
-        RecordEpochDrained(*tracker, e->id);
+      epoch.release(), [metrics = metrics_](const DatasetEpoch* e) {
+        metrics->RecordDrain(*e);
         delete e;
       });
 }
@@ -320,22 +358,16 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
   const uint64_t retired_id = retired->id;
   // Record the retirement *before* dropping our reference: if no query has
   // the old epoch pinned, reset() runs the drain deleter immediately and it
-  // must find the retire timestamp already in place.
-  {
-    MutexLock lock(drain_tracker_->mu);
-    ++drain_tracker_->retired;
-    drain_tracker_->retired_at.emplace_back(retired->id,
-                                            std::chrono::steady_clock::now());
-  }
+  // must find the retire timestamp in place, and the swap counted (so no
+  // stats() snapshot shows a drain without its swap).
+  retired->retired_at_ns.Store(SteadyNowNs());
+  metrics_->swap_us->Observe(ToUs(swap_ms));
+  metrics_->swaps->Increment();
   // The retired epoch (dataset, engine, cache entries) lives on in the
   // tickets that pinned it and dies with the last of them; dropping our
   // reference here is what makes the swap an invalidation.
   retired.reset();
-  ResetCacheGenerationStats();
-  if (metrics_ != nullptr) {
-    metrics_->swaps->Increment();
-    metrics_->swap_us->Observe(static_cast<uint64_t>(swap_ms * 1000.0));
-  }
+  StartCacheGeneration();
   {
     char msg[112];
     std::snprintf(msg, sizeof(msg),
@@ -343,11 +375,6 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
                   static_cast<unsigned long long>(retired_id),
                   static_cast<unsigned long long>(retired_id + 1), swap_ms);
     events_->Record(EventSeverity::kInfo, "service", msg);
-  }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.dataset_swaps;
-    stats_.swap_ms_total += swap_ms;
   }
   return Status::OK();
 }
@@ -371,7 +398,7 @@ QueryService::~QueryService() {
   // The queue was drained into `leftovers` above; don't leave a stale
   // non-zero depth behind in a shared registry. (in_flight needs no reset:
   // it is delta-based and every worker balanced its Add(1) before joining.)
-  if (metrics_ != nullptr) metrics_->queue_depth->Set(0);
+  metrics_->queue_depth->Set(0);
   for (const std::shared_ptr<QueryTicket>& ticket : leftovers) {
     QueryResponse response;
     response.status = Status::Cancelled("query service is shutting down");
@@ -431,14 +458,13 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
       trace->Annotate(lookup, "hit", entry != nullptr ? 1 : 0);
     }
     if (entry != nullptr) {
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.submitted;
-      }
-      if (metrics_ != nullptr) metrics_->submitted->Increment();
+      metrics_->cache_hits->Increment();
+      // Counted before ServeHit completes the request on this thread.
+      metrics_->submitted->Increment();
       ServeHit(ticket, *entry, /*queue_ms=*/0);
       return ticket;
     }
+    metrics_->cache_misses->Increment();
   }
 
   std::vector<std::shared_ptr<QueryTicket>> purged;
@@ -452,21 +478,17 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
       // Queued requests that are already cancelled or past their deadline
       // hold admission slots they will never use; release them before
       // deciding to reject. Completion runs after mu_ is dropped —
-      // Complete takes the ticket and stats locks, which must stay leaf
-      // locks.
+      // Complete takes the ticket lock, which must stay a leaf lock.
       purged = PurgeDeadLocked();
     }
     if (queue_.size() < options_.max_queue) {
+      // Counted before a worker can pop the ticket, so before any of the
+      // completion's increments (see stats()).
+      metrics_->submitted->Increment();
       queue_.push_back(ticket);
       admitted = true;
-      // Counted while still holding mu_, so a stats() snapshot can never
-      // observe a completion of this query before its submission.
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.submitted;
     }
-    if (metrics_ != nullptr) {
-      metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
-    }
+    metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
   }
   for (const std::shared_ptr<QueryTicket>& p : purged) {
     QueryResponse response;
@@ -479,11 +501,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
     Complete(p, std::move(response));
   }
   if (!admitted) {
-    if (metrics_ != nullptr) metrics_->rejected->Increment();
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.rejected;
-    }
+    metrics_->rejected->Increment();
     events_->Record(EventSeverity::kWarn, "service",
                     "admission rejected: queue full (max_queue=" +
                         std::to_string(options_.max_queue) + ")");
@@ -491,7 +509,6 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
         "admission queue is full (max_queue=" +
         std::to_string(options_.max_queue) + ")");
   }
-  if (metrics_ != nullptr) metrics_->submitted->Increment();
   work_cv_.NotifyOne();
   return ticket;
 }
@@ -510,34 +527,82 @@ QueryResponse QueryService::Execute(QueryRequest request) {
 
 void QueryService::InvalidateCache() {
   // See the header comment for the intended semantics: entries are dropped
-  // AND the cache-accounting generation restarts, both on the cache's own
-  // counters and on the per-class aggregates — a hit rate that mixes
+  // AND the cache-accounting generation restarts — a hit rate that mixes
   // generations would overstate a cache that no longer holds anything.
   const std::shared_ptr<const DatasetEpoch> epoch = CurrentEpoch();
   if (epoch->cache != nullptr) {
-    epoch->cache->Clear();
-    epoch->cache->ResetCounters();
+    metrics_->cache_evictions->Increment(epoch->cache->Clear());
   }
-  ResetCacheGenerationStats();
+  StartCacheGeneration();
 }
 
-void QueryService::ResetCacheGenerationStats() {
-  MutexLock lock(stats_mu_);
-  for (ClassAggregate& agg : stats_.per_class) {
-    agg.cache_hits = 0;
-    agg.cache_lookups = 0;
+void QueryService::StartCacheGeneration() {
+  MutexLock lock(generation_mu_);
+  generation_start_ = ReadInstruments();
+}
+
+ServiceStats QueryService::ReadInstruments() const {
+  const ServiceMetrics& m = *metrics_;
+  // Completions and drains first, then submissions and swaps: with release
+  // increments and acquire loads the later reads only come out larger
+  // (obs/metrics.h).
+  ServiceStats out;
+  out.completed = m.completed[0]->Value();
+  out.cancelled = m.completed[1]->Value();
+  out.deadline_exceeded = m.completed[2]->Value();
+  out.failed = m.completed[3]->Value();
+  for (size_t i = 0; i < kNumQueryClasses; ++i) {
+    const ServiceMetrics::PerClass& c = m.per_class[i];
+    ClassAggregate& agg = out.per_class[i];
+    agg.queries = c.queue_wait_us->Count();
+    agg.queue_ms = ToMs(c.queue_wait_us->Sum());
+    agg.executed = c.exec_us->Count();
+    agg.exec_ms = ToMs(c.exec_us->Sum());
+    agg.failures = c.failures->Value();
+    agg.cache_hits = c.cache_hits->Value();
+    agg.cache_lookups = agg.cache_hits + c.cache_misses->Value();
+    agg.join_rows = c.join_rows->Value();
+    for (size_t f = 0; f < kNumEvalSeries; ++f) {
+      agg.eval.*kEvalSeries[f].field =
+          kEvalSeries[f].high_water
+              ? static_cast<uint64_t>(c.eval_max[f]->Value())
+              : c.eval_sum[f]->Value();
+    }
+    agg.max_join_live = agg.eval.max_join_live;
   }
+  out.epochs_drained = m.epoch_drain_us->Count();
+  out.drain_ms_total = static_cast<double>(m.epoch_drain_ns->Value()) / 1e6;
+  out.drain_ms_max = static_cast<double>(m.epoch_drain_max_ns->Value()) / 1e6;
+
+  if (stats_read_gap_hook != nullptr) stats_read_gap_hook();
+  out.submitted = m.submitted->Value();
+  out.rejected = m.rejected->Value();
+  out.dataset_swaps = m.swaps->Value();
+  out.epochs_retired = out.dataset_swaps;
+  out.swap_ms_total = ToMs(m.swap_us->Sum());
+  out.cache.hits = m.cache_hits->Value();
+  out.cache.misses = m.cache_misses->Value();
+  out.cache.insertions = m.cache_insertions->Value();
+  out.cache.evictions = m.cache_evictions->Value();
+  return out;
 }
 
 ServiceStats QueryService::stats() const {
-  ServiceStats out;
+  ServiceStats start;
   {
-    MutexLock lock(stats_mu_);
-    out = stats_;
+    MutexLock lock(generation_mu_);
+    start = generation_start_;
   }
-  // Sampled gauges come from mu_, taken *after* stats_mu_ is released —
-  // mu_ is ordered before stats_mu_ when both are held (see the header),
-  // so nesting them the other way here would invert the lock order.
+  ServiceStats out = ReadInstruments();
+  // The cache counters describe the current generation only.
+  out.cache.hits -= start.cache.hits;
+  out.cache.misses -= start.cache.misses;
+  out.cache.insertions -= start.cache.insertions;
+  out.cache.evictions -= start.cache.evictions;
+  for (size_t i = 0; i < kNumQueryClasses; ++i) {
+    out.per_class[i].cache_hits -= start.per_class[i].cache_hits;
+    out.per_class[i].cache_lookups -= start.per_class[i].cache_lookups;
+  }
   {
     MutexLock lock(mu_);
     out.queue_depth = queue_.size();
@@ -545,16 +610,9 @@ ServiceStats QueryService::stats() const {
       if (t != nullptr) ++out.in_flight;
     }
   }
-  {
-    MutexLock lock(drain_tracker_->mu);
-    out.epochs_retired = drain_tracker_->retired;
-    out.epochs_drained = drain_tracker_->drained;
-    out.drain_ms_total = drain_tracker_->drain_ms_total;
-    out.drain_ms_max = drain_tracker_->drain_ms_max;
-  }
   const std::shared_ptr<const DatasetEpoch> epoch = CurrentEpoch();
   out.dataset_epoch = epoch->id;
-  if (epoch->cache != nullptr) out.cache = epoch->cache->stats();
+  if (epoch->cache != nullptr) out.cache.entries = epoch->cache->size();
   return out;
 }
 
@@ -566,6 +624,10 @@ size_t QueryService::queue_depth() const {
 bool QueryService::accepting() const {
   MutexLock lock(mu_);
   return !stopping_;
+}
+
+MetricsRegistry* QueryService::metrics_registry() const {
+  return metrics_->registry.get();
 }
 
 FlightRecorder* QueryService::flight_recorder() const {
@@ -598,13 +660,11 @@ void QueryService::WorkerLoop(size_t worker_index) {
       ticket = std::move(queue_.front());
       queue_.pop_front();
       running_[worker_index] = ticket;
-      if (metrics_ != nullptr) {
-        metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
-      }
+      metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
-    if (metrics_ != nullptr) metrics_->in_flight->Add(1);
+    metrics_->in_flight->Add(1);
     RunTask(ticket);
-    if (metrics_ != nullptr) metrics_->in_flight->Add(-1);
+    metrics_->in_flight->Add(-1);
     {
       MutexLock lock(mu_);
       running_[worker_index] = nullptr;
@@ -620,10 +680,6 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   response.epoch = epoch.id;
   response.queue_ms = MsSince(ticket->enqueued_at_);
   TraceRecorder* const trace = ticket->request_.trace;
-  if (metrics_ != nullptr) {
-    metrics_->queue_wait_us->Observe(
-        static_cast<uint64_t>(response.queue_ms * 1000.0));
-  }
   if (trace != nullptr) {
     // The wait started at Submit(), before this worker had the recorder, so
     // the span is back-dated from the measured duration.
@@ -642,17 +698,18 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   const bool use_cache =
       epoch.cache != nullptr && !ticket->request_.bypass_cache;
   // An identical request may have completed while this one queued. Submit
-  // already counted this request's miss, so the re-probe doesn't.
+  // already counted this request's miss, so only a hit is counted here.
   if (use_cache) {
     const Timer lookup_timer;
     std::shared_ptr<const CachedResult> entry =
-        epoch.cache->Lookup(ticket->cache_key_, /*count_miss=*/false);
+        epoch.cache->Lookup(ticket->cache_key_);
     if (trace != nullptr) {
       const TraceRecorder::SpanId lookup =
           trace->RecordComplete("cache_reprobe", lookup_timer.ElapsedUs());
       trace->Annotate(lookup, "hit", entry != nullptr ? 1 : 0);
     }
     if (entry != nullptr) {
+      metrics_->cache_hits->Increment();
       ServeHit(ticket, *entry, response.queue_ms);
       return;
     }
@@ -702,8 +759,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   ExecutionStats exec;
   exec.eval = (*stream)->stats();
   if ((*stream)->plan() != nullptr) {
-    SumJoinOperatorStats((*stream)->plan()->root.get(), &exec.join_rows,
-                         &exec.max_join_live);
+    exec.join_rows = SumJoinRows((*stream)->plan()->root.get());
   }
   if (trace != nullptr) {
     trace->Annotate(exec_span, "ok", response.status.ok() ? 1 : 0);
@@ -725,7 +781,10 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
     // Fills go to the *pinned* epoch's cache: after a swap this is the
     // retired cache dying with its epoch, so a stale result can never be
     // served to post-swap admissions (they pin the new epoch).
-    epoch.cache->Insert(ticket->cache_key_, std::move(entry));
+    const size_t evicted = epoch.cache->Insert(ticket->cache_key_,
+                                               std::move(entry));
+    metrics_->cache_insertions->Increment();
+    if (evicted > 0) metrics_->cache_evictions->Increment(evicted);
   }
   Complete(ticket, std::move(response), &exec);
 }
@@ -757,8 +816,8 @@ void QueryService::Complete(const std::shared_ptr<QueryTicket>& ticket,
     record.key_hash = ticket->cache_key_.empty()
                           ? 0
                           : FlightRecorder::HashKey(ticket->cache_key_);
-    record.queue_us = static_cast<uint64_t>(response.queue_ms * 1000.0);
-    record.exec_us = static_cast<uint64_t>(response.exec_ms * 1000.0);
+    record.queue_us = ToUs(response.queue_ms);
+    record.exec_us = ToUs(response.exec_ms);
     record.epoch = response.epoch;
     record.answers = static_cast<uint32_t>(response.answers.size());
     record.cache_hit = response.cache_hit;
@@ -771,59 +830,33 @@ void QueryService::Complete(const std::shared_ptr<QueryTicket>& ticket,
                     std::string(StatusCodeToString(response.status.code())) +
                         ": " + response.status.message());
   }
-  if (metrics_ != nullptr) {
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        metrics_->completed_ok->Increment();
-        break;
-      case StatusCode::kCancelled:
-        metrics_->completed_cancelled->Increment();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics_->completed_deadline->Increment();
-        break;
-      default:
-        metrics_->completed_error->Increment();
-        break;
-    }
-    if (exec != nullptr) {
-      metrics_->exec_us[static_cast<size_t>(ticket->query_class_)]->Observe(
-          static_cast<uint64_t>(response.exec_ms * 1000.0));
+  // Every fact of this completion is booked once, here, without a service
+  // lock; Submit counted the submission before the ticket could complete.
+  const ServiceMetrics::PerClass& c =
+      metrics_->per_class[static_cast<size_t>(ticket->query_class_)];
+  if (response.cache_hit) {
+    c.cache_hits->Increment();
+  } else if (ticket->used_cache_) {
+    c.cache_misses->Increment();
+  }
+  // exec is non-null exactly when the request reached the engine; a
+  // queued-dead completion counts toward neither hits nor exec time.
+  if (exec != nullptr) {
+    c.exec_us->Observe(ToUs(response.exec_ms));
+    if (exec->join_rows > 0) c.join_rows->Increment(exec->join_rows);
+    for (size_t f = 0; f < kNumEvalSeries; ++f) {
+      const uint64_t value = exec->eval.*kEvalSeries[f].field;
+      if (value == 0) continue;
+      if (kEvalSeries[f].high_water) {
+        c.eval_max[f]->SetMax(static_cast<int64_t>(value));
+      } else {
+        c.eval_sum[f]->Increment(value);
+      }
     }
   }
-  {
-    MutexLock lock(stats_mu_);
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        ++stats_.completed;
-        break;
-      case StatusCode::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case StatusCode::kDeadlineExceeded:
-        ++stats_.deadline_exceeded;
-        break;
-      default:
-        ++stats_.failed;
-        break;
-    }
-    ClassAggregate& agg =
-        stats_.per_class[static_cast<size_t>(ticket->query_class_)];
-    ++agg.queries;
-    agg.queue_ms += response.queue_ms;
-    if (ticket->used_cache_) ++agg.cache_lookups;
-    if (response.cache_hit) ++agg.cache_hits;
-    if (!response.status.ok()) ++agg.failures;
-    // exec is non-null exactly when the request reached the engine; a
-    // queued-dead completion counts toward neither hits nor exec time.
-    if (exec != nullptr) {
-      ++agg.executed;
-      agg.exec_ms += response.exec_ms;
-      agg.eval.MergeFrom(exec->eval);
-      agg.join_rows += exec->join_rows;
-      agg.max_join_live = std::max(agg.max_join_live, exec->max_join_live);
-    }
-  }
+  metrics_->completed[StatusIndex(response.status)]->Increment();
+  if (!response.status.ok()) c.failures->Increment();
+  c.queue_wait_us->Observe(ToUs(response.queue_ms));
   {
     MutexLock lock(ticket->mu_);
     ticket->response_ = std::move(response);

@@ -8,8 +8,12 @@
 // construction (the frozen-store contract in store/graph_store.h and
 // ontology/ontology.h) and every per-query structure — automata, tuple
 // dictionaries, join tables, the result stream — is built per request, so
-// worker threads share only const data plus the internally-locked cache,
-// queue and stats.
+// worker threads share only const data plus the internally-locked cache and
+// queue and the lock-free metrics instruments.
+//
+// Accounting: every serving fact is counted once, lock-free, in the
+// service's metrics registry (injected, or its own); stats() builds a
+// ServiceStats from reads of it.
 //
 // Dataset hot-swap: the frozen substrate lives in a *serving epoch* — a
 // DatasetEpoch bundling the dataset, the engine bound to it, and a result
@@ -41,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/atomics.h"
 #include "common/cancel.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -56,7 +61,6 @@ namespace omega {
 class MetricsRegistry;      // obs/metrics.h
 class FlightRecorder;       // obs/flight_recorder.h
 class EventLog;             // obs/event_log.h
-struct EpochDrainTracker;   // query_service.cc: epoch retire/drain timing
 
 /// One serving generation of the dataset: the frozen substrate, the engine
 /// bound to it (ontology binding happens here, once per swap, not per
@@ -66,9 +70,9 @@ struct EpochDrainTracker;   // query_service.cc: epoch retire/drain timing
 /// borrows from caller-owned graph/ontology pointers.
 ///
 /// Concurrency: immutable after construction except `cache`, which is
-/// internally locked (ResultCache's per-shard mutexes) — which is why the
-/// epoch needs no capability of its own and is shared across workers as a
-/// const object.
+/// internally locked (ResultCache's per-shard mutexes), and the lock-free
+/// `retired_at_ns` — which is why the epoch needs no capability of its own
+/// and is shared across workers as a const object.
 struct DatasetEpoch {
   DatasetEpoch(uint64_t id_in, std::shared_ptr<const Dataset> dataset_in,
                const GraphStore* graph, const Ontology* ontology,
@@ -89,6 +93,10 @@ struct DatasetEpoch {
   /// on. Null when caching is disabled. The pointee is internally locked
   /// (safe to use through a const epoch).
   std::unique_ptr<ResultCache> cache;
+  /// steady_clock ns when SwapDataset() unpublished the epoch (0 while
+  /// live); set before the swap drops its reference, which orders it
+  /// before the deleter's read.
+  mutable RelaxedAtomic<int64_t> retired_at_ns;
 };
 
 struct QueryServiceOptions {
@@ -114,18 +122,11 @@ struct QueryServiceOptions {
   /// on top per execution.
   QueryEngineOptions engine;
 
-  /// Registry the service exports its instruments into; nullptr selects the
-  /// process-global MetricsRegistry::Global(). Injectable so tests and the
-  /// bench_obs pair read an isolated registry. Must outlive the service and
-  /// every epoch it published (epochs record drain durations as they die).
+  /// Registry the service counts into; nullptr makes the service own one.
+  /// An injected registry must outlive the service and every epoch it
+  /// published (epochs record drain durations as they die); services that
+  /// share one share their counts.
   MetricsRegistry* metrics = nullptr;
-
-  /// Master switch for the registry export (counters, gauges, histograms).
-  /// Off is the bench_obs `_MetricsOff` baseline: no instruments are
-  /// created and hot paths skip every registry touch. Per-query
-  /// TraceRecorders attached via QueryRequest::trace work either way, and
-  /// ServiceStats accounting is unaffected.
-  bool enable_metrics = true;
 
   /// Flight recorder (obs/flight_recorder.h) appended to at every
   /// completion: one mutex-guarded flat-struct append, plus trace-JSON
@@ -252,7 +253,7 @@ class QueryService {
   /// served synchronously on the calling thread: the returned ticket is
   /// already done. Otherwise the ticket completes on a worker thread.
   Result<std::shared_ptr<QueryTicket>> Submit(QueryRequest request)
-      OMEGA_EXCLUDES(mu_, epoch_mu_, stats_mu_);
+      OMEGA_EXCLUDES(mu_, epoch_mu_);
 
   /// Blocking convenience: Submit + Wait, with rejections folded into the
   /// response's status.
@@ -262,11 +263,11 @@ class QueryService {
   /// (binding its ontology and starting a fresh, empty result cache) so
   /// that every admission from here on runs against it, while already
   /// admitted queries drain on the epoch they pinned. Also starts a new
-  /// cache-accounting generation (the per-class cache-hit counters reset —
+  /// cache-accounting generation (the cache counters in stats() restart —
   /// see InvalidateCache). Thread-safe; callable at any time, including
   /// under full query load.
   Status SwapDataset(std::shared_ptr<const Dataset> dataset)
-      OMEGA_EXCLUDES(epoch_mu_, stats_mu_);
+      OMEGA_EXCLUDES(epoch_mu_, generation_mu_);
 
   /// Invalidation hook: drops every cached result of the current epoch and
   /// starts a fresh cache-accounting generation. Semantics: after this
@@ -275,12 +276,21 @@ class QueryService {
   /// counters in stats() (ServiceStats::cache, per-class cache_hits /
   /// cache_lookups) restart from zero, so hit rates describe only the
   /// current generation instead of being diluted by a cache that no longer
-  /// exists. Call it when cached answers should no longer be served;
-  /// SwapDataset() supersedes it for dataset changes (the new epoch's
-  /// cache is born empty).
-  void InvalidateCache() OMEGA_EXCLUDES(epoch_mu_, stats_mu_);
+  /// exists (they are deltas of the registry's monotonic counters). Call it
+  /// when cached answers should no longer be served; SwapDataset()
+  /// supersedes it for dataset changes (the new epoch's cache is born
+  /// empty).
+  void InvalidateCache() OMEGA_EXCLUDES(epoch_mu_, generation_mu_);
 
-  ServiceStats stats() const OMEGA_EXCLUDES(stats_mu_, epoch_mu_, mu_);
+  /// Registry reads plus sampled queue gauges; never shows a completion
+  /// without its submission or a drain without its swap.
+  ServiceStats stats() const OMEGA_EXCLUDES(generation_mu_, epoch_mu_, mu_);
+
+  /// Test seam for that guarantee: when set, every registry read calls it
+  /// after the completion and drain reads and before the submission and
+  /// swap reads, so a test can land a whole request or swap in between.
+  /// Set it only while no other thread calls stats().
+  static inline void (*stats_read_gap_hook)() = nullptr;
 
   size_t num_workers() const { return workers_.size(); }
   size_t queue_depth() const OMEGA_EXCLUDES(mu_);
@@ -292,39 +302,35 @@ class QueryService {
   /// begun. The ops plane's /readyz readiness derives from this.
   bool accepting() const OMEGA_EXCLUDES(mu_);
 
-  /// The registry this service exports instruments into — the injected one
-  /// when QueryServiceOptions::metrics was supplied, else the process
-  /// global; null when enable_metrics is false. The shell's `.metrics` and
-  /// the ops plane resolve through this so an injected registry is the one
-  /// actually rendered.
-  MetricsRegistry* metrics_registry() const { return registry_; }
+  /// The registry this service counts into (injected, else its own; never
+  /// null). `.metrics` and /metrics render it after the process-wide one.
+  MetricsRegistry* metrics_registry() const;
   /// The attached flight recorder (null when disabled).
   FlightRecorder* flight_recorder() const;
   /// The journal lifecycle events go to (never null).
   EventLog* event_log() const { return events_; }
 
  private:
-  /// Per-execution counters folded into the per-class aggregates: the
-  /// result stream's merged EvaluatorStats plus the rank-join operators'
-  /// own OperatorStats gathered by walking the compiled plan.
+  /// Per-execution counters booked into the per-class instruments: the
+  /// result stream's merged EvaluatorStats plus the rows the rank-join
+  /// operators released, gathered by walking the compiled plan.
   struct ExecutionStats {
     EvaluatorStats eval;
     uint64_t join_rows = 0;
-    uint64_t max_join_live = 0;
   };
 
   void WorkerLoop(size_t worker_index) OMEGA_EXCLUDES(mu_);
   /// Executes (or short-circuits) one ticket and completes it.
   void RunTask(const std::shared_ptr<QueryTicket>& ticket)
-      OMEGA_EXCLUDES(mu_, stats_mu_);
+      OMEGA_EXCLUDES(mu_);
   /// Completes `ticket` from a cache entry (shared by the synchronous
   /// Submit fast path and the worker re-probe).
   void ServeHit(const std::shared_ptr<QueryTicket>& ticket,
-                const CachedResult& entry, double queue_ms)
-      OMEGA_EXCLUDES(stats_mu_);
+                const CachedResult& entry, double queue_ms);
+  /// Books the completion in the registry (no service lock), then hands
+  /// the response to the ticket.
   void Complete(const std::shared_ptr<QueryTicket>& ticket,
-                QueryResponse response, const ExecutionStats* exec = nullptr)
-      OMEGA_EXCLUDES(stats_mu_);
+                QueryResponse response, const ExecutionStats* exec = nullptr);
   /// Removes dead (cancelled or deadline-expired) tickets from the queue;
   /// returns them for completion outside the lock.
   std::vector<std::shared_ptr<QueryTicket>> PurgeDeadLocked()
@@ -344,35 +350,26 @@ class QueryService {
   std::shared_ptr<const DatasetEpoch> MakeEpoch(
       uint64_t id, std::shared_ptr<const Dataset> dataset,
       const GraphStore* graph, const Ontology* ontology) const;
-  /// Zeroes the cache-generation counters (per-class hits/lookups).
-  void ResetCacheGenerationStats() OMEGA_EXCLUDES(stats_mu_);
+  /// Every ServiceStats field that is a registry read, as totals.
+  ServiceStats ReadInstruments() const;
+  /// Captures the totals stats() reports the cache fields as deltas from.
+  void StartCacheGeneration() OMEGA_EXCLUDES(generation_mu_);
 
   /// Immutable after construction (clamped worker/queue bounds, engine
   /// config): read by every worker without synchronisation.
   QueryServiceOptions options_;
 
-  /// Cached registry instrument pointers (counters/gauges/histograms for
-  /// admission, completion, latency, cache and swap events), resolved once
-  /// at construction so hot paths never touch the registry map. Null when
-  /// options_.enable_metrics is false; immutable after construction, and
-  /// every instrument cell is internally relaxed-atomic.
+  /// The registry (owned, or a handle on the injected one) and its cached
+  /// instruments; co-owned by every published epoch. Never null; immutable.
   struct ServiceMetrics;
-  std::unique_ptr<const ServiceMetrics> metrics_;
+  std::shared_ptr<const ServiceMetrics> metrics_;
 
-  /// Resolved observability surfaces (see the accessors above): written at
-  /// construction, immutable afterwards. events_ is never null.
-  MetricsRegistry* registry_ = nullptr;
+  /// The journal lifecycle events go to: immutable, never null.
   EventLog* events_ = nullptr;
-
-  /// Epoch retire/drain bookkeeping, shared with every published epoch's
-  /// deleter. A shared_ptr because drains outlive the service: the last
-  /// pin on a retired epoch may be a ticket a client still holds after
-  /// this service is destroyed. Internally locked (see the definition).
-  std::shared_ptr<EpochDrainTracker> drain_tracker_;
 
   /// Guards the epoch pointer only — a leaf lock by construction: taken for
   /// one shared_ptr copy (shared) or one pointer swap (exclusive), never
-  /// while holding, or before acquiring, mu_ or stats_mu_. Reader/writer
+  /// while holding, or before acquiring, another lock. Reader/writer
   /// because admissions outnumber swaps by orders of magnitude.
   mutable SharedMutex epoch_mu_;
   std::shared_ptr<const DatasetEpoch> epoch_ OMEGA_GUARDED_BY(epoch_mu_);
@@ -386,13 +383,10 @@ class QueryService {
   std::vector<std::shared_ptr<QueryTicket>> running_ OMEGA_GUARDED_BY(mu_);
   bool stopping_ OMEGA_GUARDED_BY(mu_) = false;
 
-  /// Guards the serving aggregates. Lock order: mu_ may be held when
-  /// acquiring stats_mu_ (Submit counts admissions inside the queue
-  /// critical section so a stats() snapshot can never see a completion
-  /// before its submission); stats_mu_ is otherwise a leaf and is never
-  /// held while acquiring any other lock.
-  mutable Mutex stats_mu_ OMEGA_ACQUIRED_AFTER(mu_);
-  ServiceStats stats_ OMEGA_GUARDED_BY(stats_mu_);
+  /// ReadInstruments() when the cache generation began. A leaf lock, never
+  /// taken on the completion path.
+  mutable Mutex generation_mu_;
+  ServiceStats generation_start_ OMEGA_GUARDED_BY(generation_mu_);
 
   /// Joined in the destructor; written only at construction.
   std::vector<std::thread> workers_;

@@ -5,9 +5,7 @@
 
 namespace omega {
 
-ResultCache::ResultCache(size_t capacity, size_t num_shards,
-                         ResultCacheExternalCounters external)
-    : external_(external) {
+ResultCache::ResultCache(size_t capacity, size_t num_shards) {
   capacity = std::max<size_t>(capacity, 1);
   num_shards = std::clamp<size_t>(num_shards, 1, capacity);
   // Ceil-divide so the total resident bound is >= the requested capacity
@@ -24,79 +22,56 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
 }
 
 std::shared_ptr<const CachedResult> ResultCache::Lookup(
-    const std::string& key, bool count_miss) {
+    const std::string& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    if (count_miss) {
-      misses_.FetchAdd(1);
-      if (external_.misses != nullptr) external_.misses->Increment();
-    }
-    return nullptr;
-  }
+  if (it == shard.index.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.FetchAdd(1);
-  if (external_.hits != nullptr) external_.hits->Increment();
   return it->second->second;
 }
 
-void ResultCache::Insert(const std::string& key,
-                         std::shared_ptr<const CachedResult> value) {
+size_t ResultCache::Insert(const std::string& key,
+                           std::shared_ptr<const CachedResult> value) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     it->second->second = std::move(value);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    insertions_.FetchAdd(1);
-    if (external_.insertions != nullptr) external_.insertions->Increment();
-    return;
+    return 0;
   }
+  size_t evicted = 0;
   if (shard.lru.size() >= per_shard_capacity_) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    evictions_.FetchAdd(1);
-    if (external_.evictions != nullptr) external_.evictions->Increment();
+    evicted = 1;
   }
   shard.lru.emplace_front(key, std::move(value));
   shard.index.emplace(key, shard.lru.begin());
-  insertions_.FetchAdd(1);
-  if (external_.insertions != nullptr) external_.insertions->Increment();
+  return evicted;
 }
 
-void ResultCache::Clear() {
+size_t ResultCache::Clear() {
+  size_t dropped = 0;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    evictions_.FetchAdd(shard.lru.size());
-    if (external_.evictions != nullptr) {
-      external_.evictions->Increment(shard.lru.size());
-    }
+    dropped += shard.lru.size();
     shard.index.clear();
     shard.lru.clear();
   }
+  return dropped;
 }
 
-void ResultCache::ResetCounters() {
-  hits_.Store(0);
-  misses_.Store(0);
-  insertions_.Store(0);
-  evictions_.Store(0);
-}
-
-ResultCacheStats ResultCache::stats() const {
-  ResultCacheStats out;
-  out.hits = hits_.Load();
-  out.misses = misses_.Load();
-  out.insertions = insertions_.Load();
-  out.evictions = evictions_.Load();
+size_t ResultCache::size() const {
+  size_t entries = 0;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    out.entries += shard.lru.size();
+    entries += shard.lru.size();
   }
-  return out;
+  return entries;
 }
 
 }  // namespace omega

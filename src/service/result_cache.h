@@ -11,9 +11,12 @@
 // shared_ptr<const ...> snapshots, so a hit never copies under the shard
 // lock and an eviction never invalidates a response already handed out.
 //
+// The cache keeps no counters: Insert() and Clear() return what they
+// evicted, and QueryService books hits, misses, insertions and evictions in
+// its metrics registry at the call sites.
+//
 // Thread-safety: every method is safe to call concurrently; each shard has
-// its own capability-annotated mutex guarding its LRU list + index, and the
-// counters are documented relaxed atomics (common/atomics.h).
+// its own capability-annotated mutex guarding its LRU list + index.
 #ifndef OMEGA_SERVICE_RESULT_CACHE_H_
 #define OMEGA_SERVICE_RESULT_CACHE_H_
 
@@ -25,11 +28,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/atomics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "eval/query_engine.h"
-#include "obs/metrics.h"
 
 namespace omega {
 
@@ -44,61 +45,29 @@ struct CachedResult {
   bool exhausted = false;
 };
 
-/// Counter snapshot; `entries` is the current resident entry count.
-struct ResultCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  size_t entries = 0;
-};
-
-/// Optional registry export for a ResultCache: process-lifetime counters
-/// (obs/metrics.h) bumped alongside the cache's own generation counters.
-/// Registry counters are monotonic and survive ResetCounters() — Prometheus
-/// semantics — while the internal counters restart per accounting
-/// generation. Null members are skipped.
-struct ResultCacheExternalCounters {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* insertions = nullptr;
-  Counter* evictions = nullptr;
-};
-
 class ResultCache {
  public:
   /// `capacity` bounds resident entries across all shards (>= 1 enforced);
   /// `num_shards` spreads lock contention (clamped to [1, capacity]).
-  /// `external` mirrors the counters into a metrics registry (see above).
-  ResultCache(size_t capacity, size_t num_shards,
-              ResultCacheExternalCounters external = {});
+  ResultCache(size_t capacity, size_t num_shards);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached value and refreshes its recency, or null on miss.
-  /// `count_miss = false` suppresses the miss counter — for re-probes of a
-  /// key already counted as missed (a hit always counts).
-  std::shared_ptr<const CachedResult> Lookup(const std::string& key,
-                                             bool count_miss = true);
+  std::shared_ptr<const CachedResult> Lookup(const std::string& key);
 
   /// Inserts or replaces `key`, evicting the shard's least-recently-used
-  /// entry when the shard is at capacity.
-  void Insert(const std::string& key,
-              std::shared_ptr<const CachedResult> value);
+  /// entry when the shard is at capacity. Returns the number of entries
+  /// evicted (0 or 1).
+  size_t Insert(const std::string& key,
+                std::shared_ptr<const CachedResult> value);
 
-  /// Invalidation hook: drops every entry (counted as evictions). Serving
-  /// layers call this when the dataset behind the cached results is swapped.
-  void Clear();
+  /// Invalidation hook: drops every entry. Returns how many were dropped.
+  size_t Clear();
 
-  /// Starts a fresh accounting generation: zeroes hits/misses/insertions/
-  /// evictions (resident entries are untouched). QueryService pairs this
-  /// with Clear() so hit rates always describe the current generation.
-  void ResetCounters();
-
-  ResultCacheStats stats() const;
-
-  size_t num_shards() const { return shards_.size(); }
+  /// Resident entries across all shards.
+  size_t size() const;
 
  private:
   struct Shard {
@@ -116,19 +85,6 @@ class ResultCache {
 
   size_t per_shard_capacity_;  ///< immutable after construction
   std::vector<std::unique_ptr<Shard>> shards_;  ///< vector itself immutable
-  /// Immutable after construction; the pointed-to instruments are
-  /// registry-owned relaxed-atomic cells, safe to bump from any shard.
-  ResultCacheExternalCounters external_;
-
-  // Deliberately lock-free (no capability): monotonic accounting counters
-  // bumped on hot paths from any shard. Readers (stats()) accept any
-  // interleaving — a snapshot may e.g. count an insertion whose entry is
-  // not yet resident — so relaxed ordering is sufficient and a shared
-  // counter mutex would serialise all shards on every lookup.
-  RelaxedAtomic<uint64_t> hits_;
-  RelaxedAtomic<uint64_t> misses_;
-  RelaxedAtomic<uint64_t> insertions_;
-  RelaxedAtomic<uint64_t> evictions_;
 };
 
 }  // namespace omega

@@ -4,20 +4,17 @@
 // what the concurrent shell driver's `.stats` prints and what bench_service
 // reports alongside throughput.
 //
-// Concurrency: these are plain value types with no interior locking. The
-// live instance inside QueryService is guarded as a whole — it is declared
-// OMEGA_GUARDED_BY(stats_mu_) there, so every accumulation into a
-// ClassAggregate is lock-checked at compile time — and what stats() returns
-// is a private copy taken under that lock, safe to read freely.
+// Plain value types, not a store: QueryService::stats() fills one from
+// reads of the metrics registry the service counts in.
 #ifndef OMEGA_SERVICE_SERVICE_STATS_H_
 #define OMEGA_SERVICE_SERVICE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "eval/answer.h"
 #include "rpq/query.h"
-#include "service/result_cache.h"
 
 namespace omega {
 
@@ -36,16 +33,27 @@ const char* QueryClassToString(QueryClass c);
 /// Buckets `query` by the flexible-operator modes it uses.
 QueryClass ClassifyQuery(const Query& query);
 
+/// Cache counters of the current generation; `entries` is resident now.
+struct ResultCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t insertions = 0;
+  uint64_t evictions = 0;
+  size_t entries = 0;
+};
+
 /// Per-class serving aggregate. `eval` merges the whole-stream counters of
-/// executed (cache-miss) queries; `join_rows` / `max_join_live` come from
-/// the per-operator OperatorStats of the compiled plan's rank joins.
+/// executed (cache-miss) queries; `join_rows` sums the rows the compiled
+/// plan's rank joins released, and `max_join_live` repeats
+/// `eval.max_join_live`.
 struct ClassAggregate {
   uint64_t queries = 0;      ///< completed requests (hits + misses), any status
-  /// Cache-generation counters: requests that consulted the result cache
-  /// and how many of them hit. Both reset when the cache generation turns
-  /// over — QueryService::InvalidateCache() and SwapDataset() — so the
-  /// hit rate always describes the cache that is actually serving (a rate
-  /// diluted by pre-invalidation lookups would be misleading).
+  /// Cache-generation counters: completed requests that consulted the
+  /// result cache and how many of them were served from it. Both restart
+  /// when the cache generation turns over — QueryService::InvalidateCache()
+  /// and SwapDataset() — so the hit rate always describes the cache that is
+  /// actually serving (a rate diluted by pre-invalidation lookups would be
+  /// misleading).
   uint64_t cache_hits = 0;
   uint64_t cache_lookups = 0;
   uint64_t executed = 0;     ///< requests that reached the engine (a
@@ -85,8 +93,8 @@ struct ServiceStats {
   uint64_t failed = 0;             ///< completions with any other error
   uint64_t dataset_epoch = 0;      ///< id of the serving epoch (0 = initial)
   uint64_t dataset_swaps = 0;      ///< SwapDataset() calls so far
-  /// Point-in-time gauges sampled when stats() is called (not accumulated
-  /// under stats_mu_ like the counters above): requests waiting in the
+  /// Point-in-time gauges sampled when stats() is called (not registry
+  /// reads like the counters above): requests waiting in the
   /// admission queue and requests currently executing on workers.
   uint64_t queue_depth = 0;
   uint64_t in_flight = 0;
@@ -99,8 +107,7 @@ struct ServiceStats {
   uint64_t epochs_drained = 0;
   double drain_ms_total = 0;       ///< retire -> last-pin-drop, drained epochs
   double drain_ms_max = 0;
-  /// Counters of the *current* epoch's cache (each epoch gets a fresh
-  /// cache; InvalidateCache() also resets these within an epoch).
+  /// See ClassAggregate::cache_hits for the generation.
   ResultCacheStats cache;
   ClassAggregate per_class[kNumQueryClasses];
 

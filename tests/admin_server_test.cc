@@ -1,6 +1,7 @@
 // AdminServer unit tests driven through real loopback sockets: routing and
 // query-string handling, 404/405/400/431 error paths, request accounting,
-// double-Start rejection, and graceful shutdown with a request in flight.
+// double-Start rejection, graceful shutdown with a request in flight, and
+// the ops plane's /metrics over a registry shared with the service.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,7 +16,11 @@
 
 #include "net/admin_server.h"
 #include "net/http.h"
+#include "net/ops_routes.h"
 #include "obs/metrics.h"
+#include "rpq/query_parser.h"
+#include "service/query_service.h"
+#include "test_util.h"
 
 namespace omega {
 namespace {
@@ -195,6 +200,47 @@ TEST(AdminServerTest, RoutesAreListedInRegistrationOrder) {
   EXPECT_EQ(routes[0].path, "/a");
   EXPECT_EQ(routes[0].description, "first");
   EXPECT_EQ(routes[1].path, "/b");
+}
+
+// When the ops plane and the service share one registry, /metrics renders
+// it once: every family's # TYPE line appears exactly one time.
+TEST(AdminServerTest, MetricsRendersEachFamilyOnceWithASharedRegistry) {
+  MetricsRegistry registry;
+  QueryServiceOptions service_options;
+  service_options.num_workers = 1;
+  service_options.metrics = &registry;
+  QueryService service(
+      Dataset::FromParts(omega::testing::MakeGraph({{"a", "knows", "b"}}),
+                         std::nullopt),
+      service_options);
+  QueryRequest request;
+  request.query = omega::testing::Qy("(?X) <- (?X, knows, ?Y)");
+  ASSERT_TRUE(service.Execute(std::move(request)).status.ok());
+
+  AdminServerOptions options;
+  options.metrics = &registry;
+  AdminServer server(options);
+  OpsPlaneOptions ops;
+  ops.metrics = &registry;
+  ops.service = &service;
+  RegisterOpsRoutes(&server, ops);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string reply = Get(server.port(), "/metrics");
+  server.Shutdown();
+
+  EXPECT_NE(reply.find("omega_service_submitted_total 1"), std::string::npos)
+      << reply;
+  EXPECT_NE(reply.find("omega_process_uptime_seconds"), std::string::npos);
+  size_t families = 0;
+  for (size_t at = reply.find("# TYPE "); at != std::string::npos;
+       at = reply.find("# TYPE ", at + 1)) {
+    const size_t name_end = reply.find(' ', at + 7);
+    const std::string type_line = reply.substr(at, name_end - at + 1);
+    EXPECT_EQ(reply.find(type_line, name_end), std::string::npos)
+        << type_line << "rendered twice";
+    ++families;
+  }
+  EXPECT_GT(families, 10u);
 }
 
 TEST(HttpParseTest, RequestLineParsing) {

@@ -2,11 +2,12 @@
 // annotation pass formalised (PR 6). Each test targets one site the
 // capability audit called out as load-bearing:
 //
-//  - ServiceStats accumulation: counters are guarded as a whole by
-//    stats_mu_, and admissions are counted inside the queue critical
-//    section, so a concurrent stats() snapshot must never observe a
-//    completion without its submission (completions > submitted would mean
-//    an unguarded accumulation path leaked out of the lock).
+//  - ServiceStats accounting: every fact is a registry counter with
+//    release increments and acquire reads; admissions are counted before a
+//    worker can pop the ticket, and stats() reads completions before
+//    submissions, so a concurrent snapshot must never observe a completion
+//    without its submission (completions > submitted would mean a counter
+//    bumped out of order or read in the wrong order).
 //  - Epoch publication: the epoch pointer is a SharedMutex-guarded leaf —
 //    concurrent readers of dataset_epoch() must see monotonically
 //    non-decreasing ids while SwapDataset storms (a stale or torn pointer
@@ -57,10 +58,10 @@ const GraphStore& SmallGraph() {
 // Clients hammer Submit while a poller thread snapshots stats()
 // concurrently. Every snapshot must satisfy the accounting invariant
 // (completions never exceed admissions, per-class totals never exceed the
-// global total); the final snapshot must balance exactly. The unguarded
-// variant of this bug — a counter bumped outside stats_mu_, or admissions
-// counted outside the queue critical section — produces transient
-// completions > submitted under this load.
+// global total); the final snapshot must balance exactly. The broken
+// variant — admissions counted after the ticket is visible to a worker, a
+// relaxed counter, or stats() reading submissions first — produces
+// transient completions > submitted under this load.
 TEST(ConcurrencyContractTest, StatsSnapshotsAreConsistentUnderLoad) {
   QueryServiceOptions options;
   options.num_workers = 4;

@@ -261,18 +261,47 @@ TEST(ObsServiceTest, InjectedRegistryCountsSubmissionsAndCompletions) {
             std::string::npos);
 }
 
-TEST(ObsServiceTest, EnableMetricsFalseCreatesNoInstruments) {
-  MetricsRegistry registry;
+// Without an injected registry each service counts into one it owns: two
+// live services in one process report only their own traffic, and neither
+// writes a serving series into the process-global registry.
+TEST(ObsServiceTest, TwoServicesCountOnlyTheirOwnTraffic) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.metrics = &registry;
-  options.enable_metrics = false;
-  QueryService service(&ServiceGraph(), nullptr, options);
-  EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
-  // The registry was never touched: nothing to render, and ServiceStats
-  // still works (it never depended on the registry).
-  EXPECT_EQ(registry.RenderText(), "");
-  EXPECT_EQ(service.stats().submitted, 1u);
+  QueryService first(&ServiceGraph(), nullptr, options);
+  QueryService second(&ServiceGraph(), nullptr, options);
+  ASSERT_NE(first.metrics_registry(), second.metrics_registry());
+  ASSERT_NE(first.metrics_registry(), MetricsRegistry::Global());
+  ASSERT_NE(second.metrics_registry(), MetricsRegistry::Global());
+
+  EXPECT_TRUE(first.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+  EXPECT_TRUE(first.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+  EXPECT_TRUE(second
+                  .Execute(Req("(?X) <- APPROX (?X, likes, ?Y)",
+                               /*bypass_cache=*/true))
+                  .status.ok());
+
+  const size_t exact = static_cast<size_t>(QueryClass::kExact);
+  const size_t approx = static_cast<size_t>(QueryClass::kApprox);
+  const ServiceStats a = first.stats();
+  EXPECT_EQ(a.submitted, 2u);
+  EXPECT_EQ(a.completed, 2u);
+  EXPECT_EQ(a.cache.hits, 1u);
+  EXPECT_EQ(a.cache.misses, 1u);
+  EXPECT_EQ(a.per_class[exact].queries, 2u);
+  EXPECT_EQ(a.per_class[exact].executed, 1u);
+  EXPECT_EQ(a.per_class[approx].queries, 0u);
+  const ServiceStats b = second.stats();
+  EXPECT_EQ(b.submitted, 1u);
+  EXPECT_EQ(b.completed, 1u);
+  EXPECT_EQ(b.cache.hits + b.cache.misses, 0u);
+  EXPECT_EQ(b.per_class[exact].queries, 0u);
+  EXPECT_EQ(b.per_class[approx].queries, 1u);
+  EXPECT_EQ(b.per_class[approx].executed, 1u);
+  EXPECT_GT(b.per_class[approx].eval.tuples_popped, 0u);
+
+  const std::string global = MetricsRegistry::Global()->RenderText();
+  EXPECT_EQ(global.find("omega_service_"), std::string::npos) << global;
+  EXPECT_EQ(global.find("omega_cache_"), std::string::npos) << global;
 }
 
 // S1 regression: cache-generation resets must clear the per-class and
@@ -348,7 +377,6 @@ TEST(ObsServiceTest, SwapAndDrainAccounting) {
 TEST(ObsServiceTest, PerQueryTraceCoversServiceAndEngine) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;  // traces are independent of metrics
   QueryService service(&ServiceGraph(), nullptr, options);
 
   TraceRecorder trace;
@@ -396,8 +424,9 @@ TEST(ObsServiceTest, PerQueryTraceCoversServiceAndEngine) {
 
 // Regression for the shell's `.metrics` / `.trace save` routing: a service
 // constructed with injected surfaces must expose exactly those through its
-// accessors, and the Effective* helpers must resolve injected-or-global the
-// way every consumer (shell, ops routes) does.
+// accessors, one without them owns its registry, and RenderMetrics renders
+// the process-wide registry followed by the service's, the way every
+// consumer (shell, ops routes) does.
 TEST(ObsServiceTest, InjectedSurfacesResolveThroughAccessors) {
   MetricsRegistry registry;
   FlightRecorder recorder;
@@ -412,28 +441,36 @@ TEST(ObsServiceTest, InjectedSurfacesResolveThroughAccessors) {
   EXPECT_EQ(service.metrics_registry(), &registry);
   EXPECT_EQ(service.flight_recorder(), &recorder);
   EXPECT_EQ(service.event_log(), &events);
-  EXPECT_EQ(EffectiveMetricsRegistry(&service), &registry);
   EXPECT_EQ(EffectiveFlightRecorder(&service), &recorder);
 
-  // No service at all -> the process-global registry, no recorder.
-  EXPECT_EQ(EffectiveMetricsRegistry(nullptr), MetricsRegistry::Global());
+  // No service at all -> just the process-global registry, no recorder.
   EXPECT_EQ(EffectiveFlightRecorder(nullptr), nullptr);
+  EXPECT_NE(RenderMetrics(MetricsRegistry::Global(), nullptr)
+                .find("omega_process_uptime_seconds"),
+            std::string::npos);
 
-  // A service without injected surfaces resolves to the global registry
-  // and reports no flight recorder.
+  // A service without injected surfaces owns its registry and reports no
+  // flight recorder; its series render after the process-wide ones.
   QueryServiceOptions plain;
   plain.num_workers = 1;
-  plain.enable_metrics = false;
   QueryService bare(&ServiceGraph(), nullptr, plain);
-  EXPECT_EQ(EffectiveMetricsRegistry(&bare), MetricsRegistry::Global());
+  ASSERT_NE(bare.metrics_registry(), nullptr);
+  EXPECT_NE(bare.metrics_registry(), MetricsRegistry::Global());
+  EXPECT_NE(bare.metrics_registry(), &registry);
   EXPECT_EQ(EffectiveFlightRecorder(&bare), nullptr);
+  EXPECT_TRUE(bare.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+  const std::string text = RenderMetrics(MetricsRegistry::Global(), &bare);
+  const size_t process = text.find("omega_process_uptime_seconds");
+  const size_t served = text.find("omega_service_submitted_total 1");
+  ASSERT_NE(process, std::string::npos);
+  ASSERT_NE(served, std::string::npos) << text;
+  EXPECT_LT(process, served);
 }
 
 TEST(ObsServiceTest, FlightRecorderCapturesEveryCompletion) {
   FlightRecorder recorder;
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;
   options.flight_recorder = &recorder;
   QueryService service(&ServiceGraph(), nullptr, options);
 
@@ -463,7 +500,6 @@ TEST(ObsServiceTest, SwapRecordsAnEventInTheInjectedJournal) {
   EventLog events;
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;
   options.events = &events;
   std::shared_ptr<const Dataset> initial = Dataset::FromParts(
       MakeGraph({{"a", "knows", "b"}}), std::nullopt);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
@@ -304,13 +305,28 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
   std::atomic<size_t> swap_failures{0};
   std::atomic<size_t> epoch_label_mismatches{0};
   std::atomic<size_t> served_a{0}, served_b{0};
+  // Newest epoch any client has received a response from, and how many
+  // clients are done: the swapper paces itself on them.
+  std::atomic<uint64_t> newest_epoch_served{0};
+  std::atomic<size_t> clients_done{0};
 
+  // Each swap waits (bounded) until a client has received a response from
+  // the epoch it published, so the storm cannot outrun the clients — back
+  // to back, all the swaps could land before any request pins an odd
+  // epoch, and dataset B would serve nothing.
   std::thread swapper([&] {
     for (size_t s = 0; s < kSwaps; ++s) {
       if (!service.SwapDataset(s % 2 == 0 ? *mapped_b : dataset_a).ok()) {
         ++swap_failures;
       }
-      std::this_thread::yield();
+      const uint64_t published = s + 1;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (newest_epoch_served.load() < published &&
+             clients_done.load() < kClients &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
     }
   });
 
@@ -331,6 +347,11 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
           ++failures;
           continue;
         }
+        uint64_t newest = newest_epoch_served.load();
+        while (newest < response.epoch &&
+               !newest_epoch_served.compare_exchange_weak(newest,
+                                                          response.epoch)) {
+        }
         const auto got = CanonAnswers(response.answers);
         const bool is_a = got == ref_a[qi];
         const bool is_b = got == ref_b[qi];
@@ -346,6 +367,7 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
         if (epoch_says_b != is_b) ++epoch_label_mismatches;
         (is_a ? served_a : served_b)++;
       }
+      ++clients_done;
     });
   }
   for (std::thread& client : clients) client.join();

@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/event_log.h"
+#include "obs/metrics.h"
 #include "rpq/query_parser.h"
 #include "service/query_service.h"
 #include "snapshot/snapshot_reader.h"
@@ -74,40 +76,33 @@ std::shared_ptr<const CachedResult> Entry(int tag) {
 TEST(ResultCacheTest, HitMissAndLruEviction) {
   ResultCache cache(/*capacity=*/2, /*num_shards=*/1);
   EXPECT_EQ(cache.Lookup("k1"), nullptr);
-  cache.Insert("k1", Entry(1));
-  cache.Insert("k2", Entry(2));
+  EXPECT_EQ(cache.Insert("k1", Entry(1)), 0u);
+  EXPECT_EQ(cache.Insert("k2", Entry(2)), 0u);
   ASSERT_NE(cache.Lookup("k1"), nullptr);  // refreshes k1: k2 becomes LRU
-  cache.Insert("k3", Entry(3));            // evicts k2
+  EXPECT_EQ(cache.Insert("k3", Entry(3)), 1u);  // evicts k2
   EXPECT_NE(cache.Lookup("k1"), nullptr);
   EXPECT_EQ(cache.Lookup("k2"), nullptr);
   EXPECT_NE(cache.Lookup("k3"), nullptr);
-
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(ResultCacheTest, InsertReplacesExistingKey) {
   ResultCache cache(4, 2);
-  cache.Insert("k", Entry(1));
-  cache.Insert("k", Entry(9));
+  EXPECT_EQ(cache.Insert("k", Entry(1)), 0u);
+  EXPECT_EQ(cache.Insert("k", Entry(9)), 0u);  // a replacement evicts nothing
   std::shared_ptr<const CachedResult> got = cache.Lookup("k");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->answers[0].bindings[0], 9u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResultCacheTest, ClearDropsEverythingAndCountsEvictions) {
   ResultCache cache(8, 4);
   cache.Insert("k1", Entry(1));
   cache.Insert("k2", Entry(2));
-  cache.Clear();
+  EXPECT_EQ(cache.Clear(), 2u);
   EXPECT_EQ(cache.Lookup("k1"), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ResultCacheTest, EvictedEntryStaysValidForHolders) {
@@ -304,6 +299,93 @@ TEST(QueryServiceTest, SwapToSnapshotBackedDataset) {
       reference.ExecuteTopK(Qy("(?X) <- (?X, knows, ?Y)"), 0);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(CanonAnswers(response.answers), CanonAnswers(*expected));
+}
+
+// A ticket may pin a retired epoch past its service's lifetime. The epoch's
+// drain is then recorded into the registry the service owned, which the
+// epoch co-owns — it must still be alive (ASan) and take the observation.
+TEST(QueryServiceTest, RetiredEpochDrainsAfterServiceIsDestroyed) {
+  EventLog events;
+  std::shared_ptr<QueryTicket> pinned;
+  MetricsRegistry* registry = nullptr;
+  {
+    QueryServiceOptions options;
+    options.num_workers = 1;
+    options.events = &events;
+    QueryService service(Dataset::FromParts(OtherGraph(), std::nullopt),
+                         options);
+    registry = service.metrics_registry();
+    Result<std::shared_ptr<QueryTicket>> ticket =
+        service.Submit(Req("(?X) <- (?X, knows, ?Y)"));
+    ASSERT_TRUE(ticket.ok());
+    pinned = *ticket;
+    ASSERT_TRUE(pinned->Wait().status.ok());
+    ASSERT_TRUE(
+        service.SwapDataset(Dataset::FromParts(OtherGraph(), std::nullopt))
+            .ok());
+    EXPECT_EQ(service.stats().epochs_retired, 1u);
+    EXPECT_EQ(service.stats().epochs_drained, 0u);  // the ticket pins it
+  }
+  // The service is gone; its registry lives on in the pinned epoch.
+  Histogram* drain = registry->GetHistogram("omega_service_epoch_drain_us");
+  EXPECT_EQ(drain->Count(), 0u);
+  EXPECT_EQ(registry->GetCounter("omega_service_swaps_total")->Value(), 1u);
+  pinned.reset();  // last pin: the drain lands, then the registry dies
+  bool drained = false;
+  for (const LogEvent& event : events.Snapshot()) {
+    if (event.message.find("epoch 0 drained") != std::string::npos) {
+      drained = true;
+    }
+  }
+  EXPECT_TRUE(drained);
+}
+
+// stats() reads no lock, so its snapshot is consistent only because it
+// reads completions and drains before submissions and swaps. Land a whole
+// request and a whole swap between those reads: a snapshot that read them
+// in the other order would show a completion without its submission and a
+// drain without its swap.
+TEST(QueryServiceTest, StatsReadsCompletionsBeforeSubmissions) {
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  options.cache_entries = 0;
+  static QueryService* service = nullptr;
+  static bool armed = false;
+  QueryService local(Dataset::FromParts(OtherGraph(), std::nullopt), options);
+  service = &local;
+  ASSERT_TRUE(service->Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+
+  QueryService::stats_read_gap_hook = [] {
+    if (!armed) return;  // SwapDataset's own registry read comes back here
+    armed = false;
+    ASSERT_TRUE(service->Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+    ASSERT_TRUE(
+        service->SwapDataset(Dataset::FromParts(OtherGraph(), std::nullopt))
+            .ok());
+    // The worker drops its pin on epoch 0 just after answering.
+    const Histogram* drains = service->metrics_registry()->GetHistogram(
+        "omega_service_epoch_drain_us");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (drains->Count() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(drains->Count(), 1u);
+  };
+  armed = true;
+  const ServiceStats stats = service->stats();
+  QueryService::stats_read_gap_hook = nullptr;
+  ASSERT_FALSE(armed);
+
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.epochs_drained, 0u);
+  EXPECT_EQ(stats.epochs_retired, 1u);
+  const ServiceStats after = service->stats();
+  EXPECT_EQ(after.completed, 2u);
+  EXPECT_EQ(after.epochs_drained, 1u);
+  service = nullptr;
 }
 
 TEST(QueryServiceTest, ServiceOwnsDatasetPassedAtConstruction) {

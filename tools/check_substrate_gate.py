@@ -44,9 +44,10 @@ PAIRINGS = {
     # distance-aware rounds vs the plain psi ratchet.
     "_ReachProbe": "_ReachBfs",
     "_DistanceSketch": "_DistanceRounds",
-    # Observability layer (PR 9): the serving mix with every metric
-    # instrument live vs enable_metrics=false. No MIN_SPEEDUP — the claim is
-    # that instrumentation is near-free, i.e. within the plain tolerance.
+    # Observability layer (PR 9): the serving mix while a poller renders the
+    # registry and reads stats() every millisecond vs the same mix unpolled.
+    # No MIN_SPEEDUP — the claim is that reading the instruments is
+    # near-free for the workers writing them, i.e. within the tolerance.
     "_MetricsOn": "_MetricsOff",
     # Ops plane (PR 10): the same mix with the always-on flight recorder
     # appending a flat completion summary per request vs no recorder wired.
