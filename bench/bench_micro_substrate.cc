@@ -18,10 +18,14 @@
 #include "common/flat_hash.h"
 #include "common/pack.h"
 #include "common/rng.h"
+#include "datasets/l4all.h"
+#include "eval/conjunct_evaluator.h"
+#include "eval/frontier_scan.h"
 #include "eval/rank_join.h"
 #include "eval/rank_join_reference.h"
 #include "eval/tuple_dictionary.h"
 #include "eval/tuple_dictionary_reference.h"
+#include "rpq/query_parser.h"
 #include "rpq/regex_parser.h"
 #include "store/bitmap.h"
 #include "store/graph_builder.h"
@@ -410,6 +414,57 @@ void BM_ApproxAutomatonConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproxAutomatonConstruction);
+
+// --- exact variable-to-variable drain ----------------------------------------
+// Fig. 4 Q5, (?X, next+, ?Y), drained on a generated L4All graph (L2: 1201
+// timelines): the frontier scan's per-source bitmaps vs the ranked walk's
+// bucket queue, visited hash and answer map, over one shared automaton.
+
+const L4AllDataset& ExactDrainDataset() {
+  static const L4AllDataset* data =
+      new L4AllDataset(GenerateL4All(L4AllScalePreset(2)));
+  return *data;
+}
+
+const PreparedConjunct& ExactDrainConjunct() {
+  static const PreparedConjunct* prepared = [] {
+    Result<Conjunct> conjunct = ParseConjunct("(?X, next+, ?Y)");
+    Result<PreparedConjunct> p =
+        PrepareConjunct(*conjunct, ExactDrainDataset().graph, nullptr, {});
+    return new PreparedConjunct(std::move(p).value());
+  }();
+  return *prepared;
+}
+
+template <typename MakeStream>
+void ExactDrainWorkload(benchmark::State& state, MakeStream make_stream) {
+  const GraphStore& g = ExactDrainDataset().graph;
+  const PreparedConjunct& prepared = ExactDrainConjunct();
+  size_t answers = 0;
+  for (auto _ : state) {
+    const std::unique_ptr<AnswerStream> stream = make_stream(g, prepared);
+    Answer answer;
+    answers = 0;
+    while (stream->Next(&answer)) ++answers;
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] = static_cast<double>(answers);
+}
+
+void BM_SubstrateExactDrain_FrontierScan(benchmark::State& state) {
+  ExactDrainWorkload(state, [](const GraphStore& g, const PreparedConjunct& p) {
+    return std::make_unique<FrontierScanStream>(&g, &p, EvaluatorOptions{});
+  });
+}
+BENCHMARK(BM_SubstrateExactDrain_FrontierScan)->Unit(benchmark::kMillisecond);
+
+void BM_SubstrateExactDrain_RankedExact(benchmark::State& state) {
+  ExactDrainWorkload(state, [](const GraphStore& g, const PreparedConjunct& p) {
+    return std::make_unique<ConjunctEvaluator>(&g, nullptr, &p,
+                                               EvaluatorOptions{});
+  });
+}
+BENCHMARK(BM_SubstrateExactDrain_RankedExact)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "eval/frontier_scan.h"
 #include "index/index_probe_stream.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,30 +30,17 @@ Counter* ProbeFallbackCounter() {
   return counter;
 }
 
-/// Owns the compiled automaton alongside the evaluator borrowing it, so the
+/// Owns the compiled automaton alongside the stream borrowing it, so the
 /// engine can hand out self-contained streams.
 class OwningConjunctStream : public AnswerStream {
  public:
   OwningConjunctStream(std::unique_ptr<PreparedConjunct> prepared,
-                       const GraphStore* graph, const BoundOntology* ontology,
-                       const EvaluatorOptions& options, bool distance_aware,
-                       const DistanceAwareOptions& da_options,
-                       const DistanceSketch* sketch = nullptr)
-      : prepared_(std::move(prepared)) {
-    if (distance_aware) {
-      inner_ = std::make_unique<DistanceAwareStream>(
-          graph, ontology, prepared_.get(), options, da_options, sketch);
-    } else {
-      inner_ = std::make_unique<ConjunctEvaluator>(graph, ontology,
-                                                   prepared_.get(), options);
-    }
-  }
+                       std::unique_ptr<AnswerStream> inner)
+      : prepared_(std::move(prepared)), inner_(std::move(inner)) {}
 
   bool Next(Answer* out) override { return inner_->Next(out); }
   const Status& status() const override { return inner_->status(); }
   EvaluatorStats stats() const override { return inner_->stats(); }
-
-  const PreparedConjunct& prepared() const { return *prepared_; }
 
  private:
   std::unique_ptr<PreparedConjunct> prepared_;
@@ -169,6 +157,34 @@ std::string IndexProbeMarker(const ClosureShape& shape) {
   return marker;
 }
 
+/// True when a drained (not BoundJoin-inner) conjunct runs as a
+/// FrontierScanStream rather than the ranked walk: the rule MakeConjunctStream
+/// executes and PlanFor marks in EXPLAIN. Index-probe candidates never
+/// qualify (they have a constant source).
+bool UsesFrontierScan(const PreparedConjunct& prepared,
+                      const QueryEngineOptions& options) {
+  return options.use_frontier_scan && FrontierScanEligible(prepared);
+}
+
+/// Appends the EXPLAIN marker to every leaf that runs as a frontier scan.
+/// BoundJoin inners are skipped: their per-binding instances keep the
+/// ranked walk.
+void MarkFrontierScans(
+    PlanNode* node, bool bound_inner,
+    const std::vector<std::unique_ptr<PreparedConjunct>>& prepared,
+    const QueryEngineOptions& options) {
+  if (node->is_leaf()) {
+    if (!bound_inner &&
+        UsesFrontierScan(*prepared[node->conjunct_index], options)) {
+      node->description += " via FrontierScan";
+    }
+    return;
+  }
+  MarkFrontierScans(node->left.get(), false, prepared, options);
+  MarkFrontierScans(node->right.get(), node->bound_var != kInvalidVar,
+                    prepared, options);
+}
+
 }  // namespace
 
 // --- QueryResultStream -------------------------------------------------------
@@ -188,7 +204,7 @@ std::string QueryResultStream::ExplainString() const {
 }
 
 bool QueryResultStream::Next(QueryAnswer* out) {
-  Binding binding;
+  Binding& binding = scratch_;
   while (bindings_->Next(&binding)) {
     QueryAnswer answer;
     answer.distance = binding.distance;
@@ -303,9 +319,21 @@ Result<std::unique_ptr<BindingStream>> QueryEngine::MakeConjunctStream(
       prepared->max_exact_path_edges.has_value()) {
     sketch = indexes_->Sketch();
   }
-  auto answers = std::make_unique<OwningConjunctStream>(
-      std::move(prepared), graph_, ontology, options.evaluator,
-      use_distance_aware, options.distance_aware_options, sketch);
+  std::unique_ptr<AnswerStream> inner;
+  if (UsesFrontierScan(*prepared, options)) {
+    inner = std::make_unique<FrontierScanStream>(graph_, prepared.get(),
+                                                 options.evaluator);
+  } else if (use_distance_aware) {
+    inner = std::make_unique<DistanceAwareStream>(
+        graph_, ontology, prepared.get(), options.evaluator,
+        options.distance_aware_options, sketch);
+  } else {
+    inner = std::make_unique<ConjunctEvaluator>(graph_, ontology,
+                                                prepared.get(),
+                                                options.evaluator);
+  }
+  auto answers = std::make_unique<OwningConjunctStream>(std::move(prepared),
+                                                        std::move(inner));
   return std::unique_ptr<BindingStream>(
       std::make_unique<ConjunctBindingStream>(std::move(answers), width,
                                               source_slot, target_slot));
@@ -428,6 +456,8 @@ Result<std::unique_ptr<QueryPlan>> QueryEngine::PlanFor(
     plan->root = PlanGreedyBushy(std::move(leaves), graph_->NumNodes());
   }
   if (options.use_bound_join) ChooseBoundJoins(plan->root.get());
+  MarkFrontierScans(plan->root.get(), /*bound_inner=*/false, *prepared,
+                    options);
   return plan;
 }
 

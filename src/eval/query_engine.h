@@ -67,6 +67,15 @@ struct QueryEngineOptions {
   /// tests compare against.
   bool use_bound_join = true;
 
+  /// Runs a drained exact-mode variable-to-variable conjunct as a
+  /// FrontierScanStream (eval/frontier_scan.h): a per-source scan of the
+  /// product automaton with dense visited bitmaps, since all its answers
+  /// are at distance 0. Flexible conjuncts, constant-endpoint conjuncts and
+  /// BoundJoin inners keep the ranked walk; EXPLAIN marks scanned leaves
+  /// ` via FrontierScan`. Off = the ranked walk everywhere — the reference
+  /// behaviour the frontier-scan property tests compare against.
+  bool use_frontier_scan = true;
+
   /// Testing/EXPLAIN hook: when non-empty, overrides plan_mode with a
   /// left-deep tree in this conjunct order (a permutation of
   /// [0, conjuncts.size())). The plan-equivalence property tests replay
@@ -113,6 +122,7 @@ class QueryResultStream {
   std::vector<VarId> head_slots_;
   std::unique_ptr<BindingStream> bindings_;
   std::unique_ptr<QueryPlan> plan_;
+  Binding scratch_;  // pulled row, kept so its slot storage is reused
   FlatHashSet<uint64_t> seen_packed_;                      // heads of <= 2 vars
   FlatHashSet<std::vector<NodeId>, NodeVecHash> seen_wide_;  // wider heads
 };

@@ -50,17 +50,18 @@ ConjunctBindingStream::ConjunctBindingStream(
 bool ConjunctBindingStream::Next(Binding* out) {
   Answer answer;
   while (answers_->Next(&answer)) {
-    Binding binding(width_);
-    binding.distance = answer.distance;
+    // Built in place, so a caller that keeps one Binding across pulls
+    // reuses its slot storage instead of paying an allocation per answer.
+    out->slots.assign(width_, kInvalidNode);
+    out->distance = answer.distance;
     bool consistent = true;
     if (source_slot_ != kInvalidVar) {
-      consistent = binding.Bind(source_slot_, answer.v);
+      consistent = out->Bind(source_slot_, answer.v);
     }
     if (consistent && target_slot_ != kInvalidVar) {
-      consistent = binding.Bind(target_slot_, answer.n);
+      consistent = out->Bind(target_slot_, answer.n);
     }
     if (!consistent) continue;  // (?X, R, ?X) with v != n
-    *out = std::move(binding);
     return true;
   }
   return false;

@@ -568,7 +568,6 @@ ServiceStats QueryService::ReadInstruments() const {
               ? static_cast<uint64_t>(c.eval_max[f]->Value())
               : c.eval_sum[f]->Value();
     }
-    agg.max_join_live = agg.eval.max_join_live;
   }
   out.epochs_drained = m.epoch_drain_us->Count();
   out.drain_ms_total = static_cast<double>(m.epoch_drain_ns->Value()) / 1e6;
@@ -663,16 +662,13 @@ void QueryService::WorkerLoop(size_t worker_index) {
       metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
     metrics_->in_flight->Add(1);
-    RunTask(ticket);
-    metrics_->in_flight->Add(-1);
-    {
-      MutexLock lock(mu_);
-      running_[worker_index] = nullptr;
-    }
+    // Complete() takes the ticket off running_ and balances the gauge.
+    RunTask(ticket, worker_index);
   }
 }
 
-void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
+void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket,
+                           size_t worker_index) {
   // Everything below runs against the epoch the ticket pinned at Submit():
   // a swap that lands mid-execution changes nothing for this request.
   const DatasetEpoch& epoch = *ticket->epoch_;
@@ -691,7 +687,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   const CancelToken token = ticket->cancel_.token();
   response.status = token.Check("queued query");
   if (!response.status.ok()) {
-    Complete(ticket, std::move(response));
+    Complete(ticket, std::move(response), nullptr, worker_index);
     return;
   }
 
@@ -710,7 +706,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
     }
     if (entry != nullptr) {
       metrics_->cache_hits->Increment();
-      ServeHit(ticket, *entry, response.queue_ms);
+      ServeHit(ticket, *entry, response.queue_ms, worker_index);
       return;
     }
   }
@@ -737,7 +733,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
     response.status = stream.status();
     response.exec_ms = timer.ElapsedMs();
     const ExecutionStats exec;  // reached the engine, no stream counters
-    Complete(ticket, std::move(response), &exec);
+    Complete(ticket, std::move(response), &exec, worker_index);
     return;
   }
 
@@ -786,11 +782,12 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
     metrics_->cache_insertions->Increment();
     if (evicted > 0) metrics_->cache_evictions->Increment(evicted);
   }
-  Complete(ticket, std::move(response), &exec);
+  Complete(ticket, std::move(response), &exec, worker_index);
 }
 
 void QueryService::ServeHit(const std::shared_ptr<QueryTicket>& ticket,
-                            const CachedResult& entry, double queue_ms) {
+                            const CachedResult& entry, double queue_ms,
+                            size_t worker_index) {
   QueryResponse response;
   response.epoch = ticket->epoch_->id;
   // Entries are shared across alpha-renamed queries, so the column labels
@@ -800,12 +797,12 @@ void QueryService::ServeHit(const std::shared_ptr<QueryTicket>& ticket,
   response.exhausted = entry.exhausted;
   response.cache_hit = true;
   response.queue_ms = queue_ms;
-  Complete(ticket, std::move(response));
+  Complete(ticket, std::move(response), nullptr, worker_index);
 }
 
 void QueryService::Complete(const std::shared_ptr<QueryTicket>& ticket,
-                            QueryResponse response,
-                            const ExecutionStats* exec) {
+                            QueryResponse response, const ExecutionStats* exec,
+                            size_t worker_index) {
   if (options_.flight_recorder != nullptr) {
     // One mutex-guarded flat append per completion (near-free: see the
     // bench_obs _RecorderOn/_RecorderOff gate pair). Trace JSON is captured
@@ -857,12 +854,23 @@ void QueryService::Complete(const std::shared_ptr<QueryTicket>& ticket,
   metrics_->completed[StatusIndex(response.status)]->Increment();
   if (!response.status.ok()) c.failures->Increment();
   c.queue_wait_us->Observe(ToUs(response.queue_ms));
+  if (worker_index != kNoWorker) {
+    // The worker leaves the running set before its client can see the
+    // response, so stats() read after the last response counts nothing in
+    // flight.
+    {
+      MutexLock lock(mu_);
+      running_[worker_index] = nullptr;
+    }
+    metrics_->in_flight->Add(-1);
+  }
   {
     MutexLock lock(ticket->mu_);
     ticket->response_ = std::move(response);
     ticket->done_ = true;
   }
   ticket->cv_.NotifyAll();
+  if (response_published_hook != nullptr) response_published_hook();
 }
 
 }  // namespace omega

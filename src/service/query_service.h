@@ -292,6 +292,12 @@ class QueryService {
   /// Set it only while no other thread calls stats().
   static inline void (*stats_read_gap_hook)() = nullptr;
 
+  /// Test seam: when set, the completing thread calls it right after it
+  /// hands a response to its ticket, so a test can hold a worker at the
+  /// point where its client already has the response. Set it only while
+  /// the service is idle, and clear it only after the service is destroyed.
+  static inline void (*response_published_hook)() = nullptr;
+
   size_t num_workers() const { return workers_.size(); }
   size_t queue_depth() const OMEGA_EXCLUDES(mu_);
 
@@ -319,18 +325,25 @@ class QueryService {
     uint64_t join_rows = 0;
   };
 
+  /// `worker_index` of a completion that did not run on a worker.
+  static constexpr size_t kNoWorker = static_cast<size_t>(-1);
+
   void WorkerLoop(size_t worker_index) OMEGA_EXCLUDES(mu_);
-  /// Executes (or short-circuits) one ticket and completes it.
-  void RunTask(const std::shared_ptr<QueryTicket>& ticket)
-      OMEGA_EXCLUDES(mu_);
+  /// Executes (or short-circuits) one ticket on worker `worker_index` and
+  /// completes it.
+  void RunTask(const std::shared_ptr<QueryTicket>& ticket,
+               size_t worker_index) OMEGA_EXCLUDES(mu_);
   /// Completes `ticket` from a cache entry (shared by the synchronous
   /// Submit fast path and the worker re-probe).
   void ServeHit(const std::shared_ptr<QueryTicket>& ticket,
-                const CachedResult& entry, double queue_ms);
-  /// Books the completion in the registry (no service lock), then hands
-  /// the response to the ticket.
+                const CachedResult& entry, double queue_ms,
+                size_t worker_index = kNoWorker) OMEGA_EXCLUDES(mu_);
+  /// Books the completion in the registry (no service lock), releases the
+  /// worker that ran it (its running_ slot and the in-flight gauge), then
+  /// hands the response to the ticket.
   void Complete(const std::shared_ptr<QueryTicket>& ticket,
-                QueryResponse response, const ExecutionStats* exec = nullptr);
+                QueryResponse response, const ExecutionStats* exec = nullptr,
+                size_t worker_index = kNoWorker) OMEGA_EXCLUDES(mu_);
   /// Removes dead (cancelled or deadline-expired) tickets from the queue;
   /// returns them for completion outside the lock.
   std::vector<std::shared_ptr<QueryTicket>> PurgeDeadLocked()

@@ -43,9 +43,9 @@ struct ResultCacheStats {
 };
 
 /// Per-class serving aggregate. `eval` merges the whole-stream counters of
-/// executed (cache-miss) queries; `join_rows` sums the rows the compiled
-/// plan's rank joins released, and `max_join_live` repeats
-/// `eval.max_join_live`.
+/// executed (cache-miss) queries (the join tables+heap high-water is
+/// `eval.max_join_live`); `join_rows` sums the rows the compiled plan's
+/// rank joins released.
 struct ClassAggregate {
   uint64_t queries = 0;      ///< completed requests (hits + misses), any status
   /// Cache-generation counters: completed requests that consulted the
@@ -64,7 +64,6 @@ struct ClassAggregate {
   double exec_ms = 0;        ///< total engine execution time (executed only)
   EvaluatorStats eval;       ///< merged stream stats of executed queries
   uint64_t join_rows = 0;    ///< rows released by rank-join operators
-  uint64_t max_join_live = 0;///< largest join tables+heap high-water seen
 
   /// Hit rate over cache lookups of the current cache generation (see the
   /// counter comment above; not over `queries`, which also counts

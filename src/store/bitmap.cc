@@ -11,30 +11,6 @@ void Bitmap::Resize(size_t universe_size) {
   words_.assign((universe_size + 63) / 64, 0);
 }
 
-void Bitmap::Set(NodeId id) {
-  assert(id < universe_size_);
-  words_[id / 64] |= (1ULL << (id % 64));
-}
-
-void Bitmap::Clear(NodeId id) {
-  assert(id < universe_size_);
-  words_[id / 64] &= ~(1ULL << (id % 64));
-}
-
-bool Bitmap::Test(NodeId id) const {
-  if (id >= universe_size_) return false;
-  return (words_[id / 64] >> (id % 64)) & 1ULL;
-}
-
-bool Bitmap::TestAndSet(NodeId id) {
-  assert(id < universe_size_);
-  uint64_t& word = words_[id / 64];
-  const uint64_t mask = 1ULL << (id % 64);
-  const bool was_clear = (word & mask) == 0;
-  word |= mask;
-  return was_clear;
-}
-
 size_t Bitmap::Count() const {
   size_t total = 0;
   for (uint64_t w : words_) total += static_cast<size_t>(__builtin_popcountll(w));

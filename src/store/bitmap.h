@@ -4,6 +4,7 @@
 #ifndef OMEGA_STORE_BITMAP_H_
 #define OMEGA_STORE_BITMAP_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -21,11 +22,29 @@ class Bitmap {
   void Resize(size_t universe_size);
   size_t universe_size() const { return universe_size_; }
 
-  void Set(NodeId id);
-  void Clear(NodeId id);
-  bool Test(NodeId id) const;
+  // The single-bit operations are inline: per-node scans (seeding, the
+  // frontier scan's visited marks) call them once per node or edge.
+  void Set(NodeId id) {
+    assert(id < universe_size_);
+    words_[id / 64] |= (1ULL << (id % 64));
+  }
+  void Clear(NodeId id) {
+    assert(id < universe_size_);
+    words_[id / 64] &= ~(1ULL << (id % 64));
+  }
+  bool Test(NodeId id) const {
+    if (id >= universe_size_) return false;
+    return (words_[id / 64] >> (id % 64)) & 1ULL;
+  }
   /// Sets the bit and reports whether it was previously clear.
-  bool TestAndSet(NodeId id);
+  bool TestAndSet(NodeId id) {
+    assert(id < universe_size_);
+    uint64_t& word = words_[id / 64];
+    const uint64_t mask = 1ULL << (id % 64);
+    const bool was_clear = (word & mask) == 0;
+    word |= mask;
+    return was_clear;
+  }
 
   /// Number of set bits (popcount over words).
   size_t Count() const;

@@ -672,6 +672,34 @@ TEST(QueryServiceTest, PerClassAggregatesReportServingMetrics) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
+TEST(QueryServiceTest, NothingInFlightOnceEveryResponseIsBack) {
+  // Cleared after the service below is destroyed: its workers have joined,
+  // so none can still be reading the hook.
+  struct HookReset {
+    ~HookReset() { QueryService::response_published_hook = nullptr; }
+  } reset;
+  QueryServiceOptions options;
+  options.num_workers = 4;
+  QueryService service(&SmallGraph(), nullptr, options);
+  // Hold each worker just after its client has the response: a worker that
+  // left the running set only after publishing would still count as in
+  // flight when the client reads the stats below.
+  QueryService::response_published_hook = [] {
+    std::this_thread::sleep_for(milliseconds(5));
+  };
+  for (int i = 0; i < 12; ++i) {
+    QueryRequest request = Req("(?X, ?Y) <- (?X, knows+, ?Y)", 0);
+    request.bypass_cache = true;  // every request runs on a worker
+    ASSERT_TRUE(service.Execute(std::move(request)).status.ok());
+    EXPECT_EQ(service.stats().in_flight, 0u) << "after request " << i;
+    EXPECT_EQ(service.metrics_registry()
+                  ->GetGauge("omega_service_in_flight")
+                  ->Value(),
+              0)
+        << "after request " << i;
+  }
+}
+
 TEST(QueryClassTest, ClassifiesByFlexibleModes) {
   EXPECT_EQ(ClassifyQuery(Qy("(?X) <- (?X, a, ?Y)")), QueryClass::kExact);
   EXPECT_EQ(ClassifyQuery(Qy("(?X) <- APPROX (?X, a, ?Y)")),
