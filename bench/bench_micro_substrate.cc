@@ -466,6 +466,50 @@ void BM_SubstrateExactDrain_RankedExact(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstrateExactDrain_RankedExact)->Unit(benchmark::kMillisecond);
 
+// --- flexible first page ------------------------------------------------------
+// Fig. 4 Q4 under APPROX, (?X, job.type, ?Y), top-100 on the same L4All L2
+// graph: every answer is at distance 0, so lazy Succ pushes only the free
+// moves and one deferred tuple per expansion, while eager Succ also pushes
+// every insertion and substitution into the class nodes' instances.
+
+const PreparedConjunct& ApproxPageConjunct() {
+  static const PreparedConjunct* prepared = [] {
+    Result<Conjunct> conjunct = ParseConjunct("APPROX (?X, job.type, ?Y)");
+    Result<PreparedConjunct> p =
+        PrepareConjunct(*conjunct, ExactDrainDataset().graph, nullptr, {});
+    return new PreparedConjunct(std::move(p).value());
+  }();
+  return *prepared;
+}
+
+void ApproxPageWorkload(benchmark::State& state, bool lazy_succ) {
+  const GraphStore& g = ExactDrainDataset().graph;
+  const PreparedConjunct& prepared = ApproxPageConjunct();
+  EvaluatorOptions options;
+  options.lazy_succ = lazy_succ;
+  EvaluatorStats stats;
+  for (auto _ : state) {
+    ConjunctEvaluator evaluator(&g, nullptr, &prepared, options);
+    Answer answer;
+    for (int i = 0; i < 100 && evaluator.Next(&answer); ++i) {
+    }
+    stats = evaluator.stats();
+    benchmark::DoNotOptimize(stats.answers_emitted);
+  }
+  state.counters["answers"] = static_cast<double>(stats.answers_emitted);
+  state.counters["pushed"] = static_cast<double>(stats.tuples_pushed);
+}
+
+void BM_SubstrateApproxPage_LazySucc(benchmark::State& state) {
+  ApproxPageWorkload(state, true);
+}
+BENCHMARK(BM_SubstrateApproxPage_LazySucc)->Unit(benchmark::kMillisecond);
+
+void BM_SubstrateApproxPage_EagerSucc(benchmark::State& state) {
+  ApproxPageWorkload(state, false);
+}
+BENCHMARK(BM_SubstrateApproxPage_EagerSucc)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -33,8 +33,13 @@ struct Answer {
 struct EvaluatorStats {
   uint64_t tuples_popped = 0;
   uint64_t tuples_pushed = 0;
-  uint64_t succ_expansions = 0;        ///< non-final tuples expanded
-  uint64_t neighbor_group_fetches = 0; ///< NeighboursByEdge-equivalent calls
+  /// Non-final tuples expanded. Under lazy Succ a deferred pop counts too,
+  /// so one (v, n, s) with positive-cost moves may count twice.
+  uint64_t succ_expansions = 0;
+  /// NeighboursByEdge-equivalent calls: one per SameNeighborGroup run that
+  /// has a member in the pass being expanded. Under lazy Succ a group that
+  /// mixes cost-0 and positive-cost members is fetched by both passes.
+  uint64_t neighbor_group_fetches = 0;
   uint64_t answers_emitted = 0;
   uint64_t seeds_added = 0;
   uint64_t max_dictionary_size = 0;
@@ -97,6 +102,14 @@ struct EvaluatorOptions {
   /// Exceeding it fails the query with kResourceExhausted, reproducing the
   /// paper's out-of-memory '?' results without taking the process down.
   size_t max_live_tuples = 0;
+
+  /// Lazy Succ (lazy edge relaxation in Dijkstra's sense): popping a
+  /// non-final (v, n, s, d) pushes only s's cost-0 moves plus one deferred
+  /// tuple at d + c_min(s), the least positive cost leaving s; popping that
+  /// tuple pushes the positive-cost moves. Answers and distances are those
+  /// of the eager Succ of §3.4 (false, the reference path); only the order
+  /// among answers at equal distance may differ.
+  bool lazy_succ = true;
 
   /// Distance ceiling ψ for distance-aware retrieval; tuples costlier than
   /// this are never materialised (kInfiniteCost = unbounded).

@@ -95,6 +95,17 @@ void ConjunctEvaluator::Open() {
   const Nfa& nfa = prepared_->nfa;
   const StateId s0 = nfa.initial();
 
+  if (options_.lazy_succ) {
+    min_positive_move_.assign(nfa.NumStates(), kInfiniteCost);
+    for (StateId s = 0; s < nfa.NumStates(); ++s) {
+      for (const NfaTransition& t : nfa.Out(s)) {
+        if (t.cost > 0 && t.cost < min_positive_move_[s]) {
+          min_positive_move_[s] = t.cost;
+        }
+      }
+    }
+  }
+
   target_is_constant_ = !prepared_->eval_target.is_variable;
   if (target_is_constant_) {
     target_node_ = graph_->FindNode(prepared_->eval_target.name);
@@ -152,7 +163,13 @@ void ConjunctEvaluator::Open() {
 
 void ConjunctEvaluator::AddTuple(const EvalTuple& tuple) {
   if (tuple.d > options_.max_distance) {
-    truncated_by_distance_ = true;
+    if (truncated_by_distance_) return;
+    if (over_ceiling_.size() == kMaxOverCeiling) {
+      truncated_by_distance_ = true;
+      over_ceiling_.clear();
+      return;
+    }
+    over_ceiling_.push_back(tuple);
     return;
   }
   dict_.Add(tuple);
@@ -160,6 +177,17 @@ void ConjunctEvaluator::AddTuple(const EvalTuple& tuple) {
   if (dict_.size() > stats_.max_dictionary_size) {
     stats_.max_dictionary_size = dict_.size();
   }
+}
+
+bool ConjunctEvaluator::AnyOverCeilingUnreached() const {
+  for (const EvalTuple& t : over_ceiling_) {
+    const bool reached =
+        t.is_final ? answers_.Contains(AnswerKey(t.v, t.n))
+                   : options_.use_visited_set &&
+                         visited_.Contains({PackPair(t.v, t.n), t.s});
+    if (!reached) return true;
+  }
+  return false;
 }
 
 void ConjunctEvaluator::CheckBudget() {
@@ -264,31 +292,68 @@ void ConjunctEvaluator::CollectNeighbors(NodeId n, const NfaTransition& t,
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-void ConjunctEvaluator::ExpandTuple(const EvalTuple& tuple) {
-  const Nfa& nfa = prepared_->nfa;
-  ++stats_.succ_expansions;
-
-  std::span<const NfaTransition> transitions = nfa.Out(tuple.s);
+template <typename Takes>
+void ConjunctEvaluator::PushMoves(const EvalTuple& tuple, Cost base,
+                                  Takes takes) {
+  std::span<const NfaTransition> transitions = prepared_->nfa.Out(tuple.s);
   size_t i = 0;
   while (i < transitions.size()) {
-    // One neighbour fetch per SameNeighborGroup run (§3.4's U-set reuse).
-    scratch_neighbors_.clear();
-    CollectNeighbors(tuple.n, transitions[i], &scratch_neighbors_);
-    ++stats_.neighbor_group_fetches;
+    // One neighbour fetch per SameNeighborGroup run (§3.4's U-set reuse),
+    // made only when the run has a member this pass pushes.
+    bool fetched = false;
     size_t j = i;
     for (; j < transitions.size() &&
            transitions[j].SameNeighborGroup(transitions[i]);
          ++j) {
       const NfaTransition& t = transitions[j];
+      if (!takes(t.cost)) continue;
+      if (!fetched) {
+        scratch_neighbors_.clear();
+        CollectNeighbors(tuple.n, t, &scratch_neighbors_);
+        ++stats_.neighbor_group_fetches;
+        fetched = true;
+      }
       for (NodeId m : scratch_neighbors_) {
         if (options_.use_visited_set &&
             visited_.Contains({PackPair(tuple.v, m), t.to})) {
           continue;
         }
-        AddTuple({tuple.v, m, t.to, tuple.d + t.cost, false});
+        AddTuple({tuple.v, m, t.to, base + t.cost, false});
       }
     }
     i = j;
+  }
+}
+
+void ConjunctEvaluator::ExpandTuple(const EvalTuple& tuple) {
+  const Nfa& nfa = prepared_->nfa;
+  ++stats_.succ_expansions;
+
+  if (tuple.deferred) {
+    // The twin's positive-cost moves, costed from the twin's distance. Moves
+    // past the ceiling were already checked when the twin popped.
+    const Cost base = tuple.d - min_positive_move_[tuple.s];
+    const Cost headroom = options_.max_distance - base;
+    PushMoves(tuple, base,
+              [headroom](Cost c) { return c > 0 && c <= headroom; });
+    return;
+  }
+
+  if (!options_.lazy_succ) {
+    PushMoves(tuple, tuple.d, [](Cost) { return true; });
+  } else {
+    // Cost-0 moves now. A positive move past the ceiling pushes nothing but
+    // must still set the truncation flag as eager Succ would, so it is
+    // checked now, against the visited set eager Succ would see; the rest
+    // wait for the deferred twin, which pops no earlier than they would.
+    const Cost headroom = options_.max_distance - tuple.d;
+    PushMoves(tuple, tuple.d, [this, headroom](Cost c) {
+      return c == 0 || (c > headroom && !truncated_by_distance_);
+    });
+    const Cost step = min_positive_move_[tuple.s];
+    if (step < kInfiniteCost && step <= headroom) {
+      AddTuple({tuple.v, tuple.n, tuple.s, tuple.d + step, false, true});
+    }
   }
 
   // Lines 12–13 of GetNext: re-enqueue as a final tuple, adding weight(s).
@@ -315,9 +380,17 @@ bool ConjunctEvaluator::Next(Answer* out) {
       }
     }
     RefillSeeds();
+    if (!over_ceiling_.empty() &&
+        (dict_.Empty() || dict_.MinDistance() > level_)) {
+      // Level level_ has drained: whatever it left unreached stays so
+      // below the ceiling.
+      if (AnyOverCeilingUnreached()) truncated_by_distance_ = true;
+      over_ceiling_.clear();
+    }
     if (dict_.Empty()) return false;  // exhausted
     const EvalTuple tuple = dict_.Remove();
     ++stats_.tuples_popped;
+    level_ = tuple.d;
 
     if (tuple.is_final) {
       if (!answers_.Insert(AnswerKey(tuple.v, tuple.n), tuple.d)) {
@@ -328,7 +401,8 @@ bool ConjunctEvaluator::Next(Answer* out) {
       return true;
     }
 
-    if (options_.use_visited_set &&
+    // A deferred tuple's twin has already passed the visited check.
+    if (options_.use_visited_set && !tuple.deferred &&
         !visited_.Insert({PackPair(tuple.v, tuple.n), tuple.s})) {
       continue;  // processed before at a lower-or-equal d
     }

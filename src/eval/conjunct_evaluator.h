@@ -76,9 +76,15 @@ class ConjunctEvaluator : public AnswerStream {
   const Status& status() const override { return status_; }
   EvaluatorStats stats() const override { return stats_; }
 
-  /// True if some tuple or answer exceeded options.max_distance — i.e. a
-  /// higher distance ceiling could still produce more answers.
-  bool truncated_by_distance() const { return truncated_by_distance_; }
+  /// True if a move or final weight past options.max_distance led to a
+  /// (v, n, s) or an answer the walk had not reached by the end of the
+  /// distance level it was found at — i.e. a higher distance ceiling could
+  /// still produce more answers. Judged at level ends, so the pop order
+  /// among tuples of one distance (which lazy Succ changes) does not move
+  /// it; an evaluator stopped mid-level judges against what it has reached.
+  bool truncated_by_distance() const {
+    return truncated_by_distance_ || AnyOverCeilingUnreached();
+  }
 
   /// Tuples held against the budget: D_R + visited set + answer map.
   size_t live_tuples() const {
@@ -109,17 +115,28 @@ class ConjunctEvaluator : public AnswerStream {
     return PackPair(prepared_->eval_source.is_variable ? v : kInvalidNode, n);
   }
 
-  /// Adds a tuple unless it violates the distance ceiling (sets the
-  /// truncation flag) or the memory budget (fails the evaluator).
+  /// Adds a tuple unless it violates the distance ceiling (notes it in
+  /// over_ceiling_) or the memory budget (fails the evaluator).
   void AddTuple(const EvalTuple& tuple);
+
+  /// True if some noted over-ceiling tuple's (v, n, s), or answer for a
+  /// final one, has not been reached.
+  bool AnyOverCeilingUnreached() const;
 
   /// Keeps the invariant that no tuple with d > 0 is popped while unseeded
   /// initial nodes remain (lines 14–17 of GetNext).
   void RefillSeeds();
 
-  /// The Succ function: expands (s, n), adding successor tuples. Neighbour
-  /// sets are fetched once per SameNeighborGroup run of transitions.
+  /// The Succ function: expands (s, n), adding successor tuples. Eager Succ
+  /// pushes every move at once; lazy Succ splits the moves between the
+  /// tuple and its deferred twin (EvaluatorOptions::lazy_succ).
   void ExpandTuple(const EvalTuple& tuple);
+
+  /// Pushes tuple's successors over the moves of tuple.s whose cost
+  /// `takes(cost)` accepts, each at `base` + cost. Neighbour sets are
+  /// fetched once per SameNeighborGroup run that has a member to push.
+  template <typename Takes>
+  void PushMoves(const EvalTuple& tuple, Cost base, Takes takes);
 
   /// Appends the (sorted, distinct) neighbours of `n` reachable by `t`.
   void CollectNeighbors(NodeId n, const NfaTransition& t,
@@ -138,11 +155,21 @@ class ConjunctEvaluator : public AnswerStream {
   FlatHashMap<uint64_t, Cost> answers_;
   std::unique_ptr<InitialNodeStream> stream_;
   std::vector<NodeId> scratch_neighbors_;
+  /// c_min(s) per state: the least positive move cost leaving s
+  /// (kInfiniteCost if none), the step of lazy Succ's deferred tuple.
+  std::vector<Cost> min_positive_move_;
 
   NodeId bound_source_ = kInvalidNode;  // per-binding instance seed
   std::optional<NodeId> source_node_;  // resolved constant source
   std::optional<NodeId> target_node_;  // resolved constant target
   bool target_is_constant_ = false;
+
+  /// Over-ceiling tuples found while expanding tuples at distance level_,
+  /// judged (then cleared) once that level has drained. Past
+  /// kMaxOverCeiling of them the flag is set at once.
+  static constexpr size_t kMaxOverCeiling = 1024;
+  std::vector<EvalTuple> over_ceiling_;
+  Cost level_ = 0;  // distance of the last popped tuple
 
   bool opened_ = false;
   uint32_t cancel_tick_ = 0;  // strided-deadline-check counter

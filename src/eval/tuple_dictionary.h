@@ -33,6 +33,9 @@ struct EvalTuple {
   StateId s = kInvalidState; ///< NFA state
   Cost d = 0;                ///< accumulated distance
   bool is_final = false;     ///< ready to be emitted as an answer
+  /// Lazy Succ's deferred twin of an expanded (v, n, s): popping it pushes
+  /// s's positive-cost moves, which cost at least d. Never final.
+  bool deferred = false;
 };
 
 class TupleDictionary {

@@ -182,9 +182,11 @@ constexpr size_t kBudget = 1'000'000;
 constexpr size_t kTopK = 100;
 
 /// Runs `text` top-k under the HRJN plan (must exhaust kBudget) and under
-/// the default plan (must answer k rows within it, in a BoundJoin plan).
+/// the default plan (must answer k rows within it, in a BoundJoin plan,
+/// holding fewer than `max_join_live` live tuples).
 void ExpectBoundJoinAnswersWithinBudget(const QueryEngine& engine,
-                                        const std::string& text) {
+                                        const std::string& text,
+                                        size_t max_join_live = kBudget / 2) {
   const Query query = testing::Qy(text);
   QueryEngineOptions hrjn;
   hrjn.use_bound_join = false;
@@ -206,7 +208,7 @@ void ExpectBoundJoinAnswersWithinBudget(const QueryEngine& engine,
   EXPECT_EQ(answers, kTopK) << text;
   const std::string explain = (*stream)->ExplainString();
   EXPECT_NE(explain.find("BoundJoin"), std::string::npos) << explain;
-  EXPECT_LT((*stream)->stats().max_join_live, kBudget / 2) << explain;
+  EXPECT_LT((*stream)->stats().max_join_live, max_join_live) << explain;
 }
 
 TEST(BoundJoinRegressionTest, L4AllClosureProbeWithApproxPrereq) {
@@ -216,9 +218,14 @@ TEST(BoundJoinRegressionTest, L4AllClosureProbeWithApproxPrereq) {
   IndexManager indexes(&data.graph);
   QueryEngine engine(&data.graph, &data.ontology, &indexes);
   for (const char* timeline : {"Alumni 4 Episode 1", "Alumni 9 Episode 1"}) {
+    // The instances pop ~300 tuples. Eager Succ held 219k / 284k live
+    // tuples for them (every insertion and substitution at a class node
+    // pushes each of its instances), lazy Succ ~68k / ~64k.
     ExpectBoundJoinAnswersWithinBudget(
-        engine, std::string("(?X, ?Y) <- (") + timeline +
-                    ", next+, ?X), APPROX (?X, prereq, ?Y)");
+        engine,
+        std::string("(?X, ?Y) <- (") + timeline +
+            ", next+, ?X), APPROX (?X, prereq, ?Y)",
+        /*max_join_live=*/100'000);
   }
 }
 

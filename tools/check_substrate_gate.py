@@ -59,6 +59,9 @@ PAIRINGS = {
     # Exact variable-to-variable drain: the per-source frontier scan vs the
     # ranked walk on (?X, next+, ?Y) over an L4All graph.
     "_FrontierScan": "_RankedExact",
+    # Flexible first page: lazy Succ (positive-cost moves pushed when their
+    # deferred tuple pops) vs eager Succ on APPROX (?X, job.type, ?Y) top-100.
+    "_LazySucc": "_EagerSucc",
 }
 
 # Pairs that must not merely avoid regressing but beat their baseline by a
@@ -96,6 +99,11 @@ MIN_SPEEDUP = {
     # per-source work stopped being proportional to what the source
     # reaches.
     "_FrontierScan": 3.0,
+    # All 100 answers are at distance 0: lazy Succ pushes 543 tuples where
+    # eager Succ pushes ~244k. It measures ~30-45x on L4All L2 (4-vCPU VM);
+    # under 15x means the deferred moves are being pushed before the page
+    # needs them.
+    "_LazySucc": 15.0,
 }
 
 # Pairs whose work accrues on service worker threads while the driving
@@ -104,9 +112,17 @@ MIN_SPEEDUP = {
 REAL_TIME_PAIRS = {"_CacheHit", "_ServiceParallel", "_MetricsOn",
                    "_RecorderOn"}
 
+# google-benchmark time_unit -> nanoseconds.
+UNIT_NS = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 # Generous noise floor so the gate trips on real regressions, not scheduler
 # jitter; the structures win by integer factors when healthy.
 TOLERANCE = 1.10
+
+
+def show_time(time: float, unit: str) -> str:
+    """A bench time in its own unit, with three digits when it is small."""
+    return f"{time:.0f} {unit}" if time >= 100 else f"{time:.3g} {unit}"
 
 
 def main() -> int:
@@ -135,7 +151,8 @@ def main() -> int:
                 continue
             if is_median:
                 from_median.add(name)
-            times[name] = {"cpu": b["cpu_time"], "real": b["real_time"]}
+            times[name] = {"cpu": b["cpu_time"], "real": b["real_time"],
+                           "unit": b.get("time_unit", "ns")}
 
     checked = 0
     failures = []
@@ -156,7 +173,11 @@ def main() -> int:
             metric = "real" if new_suffix in REAL_TIME_PAIRS else "cpu"
             cpu_time = timing[metric]
             base_time = times[base_name][metric]
-            ratio = cpu_time / base_time if base_time > 0 else float("inf")
+            # Each bench reports in its own time_unit; the ratio compares
+            # them as nanoseconds.
+            ratio = (cpu_time * UNIT_NS[timing["unit"]]
+                     / (base_time * UNIT_NS[times[base_name]["unit"]])
+                     if base_time > 0 else float("inf"))
             max_ratio = TOLERANCE
             if new_suffix in MIN_SPEEDUP:
                 max_ratio = 1.0 / MIN_SPEEDUP[new_suffix]
@@ -171,8 +192,8 @@ def main() -> int:
             required = (f", requires >= {MIN_SPEEDUP[new_suffix]:.1f}x"
                         if new_suffix in MIN_SPEEDUP else "")
             print(
-                f"{verdict:>10}  {name}: {cpu_time:.0f} ns  vs  "
-                f"{base_name}: {base_time:.0f} ns  "
+                f"{verdict:>10}  {name}: {show_time(cpu_time, timing['unit'])}  vs  "
+                f"{base_name}: {show_time(base_time, times[base_name]['unit'])}  "
                 f"(ratio {ratio:.3f}, speedup {1 / ratio:.2f}x{required})"
             )
             if ratio > max_ratio:
