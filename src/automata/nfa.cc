@@ -35,7 +35,11 @@ void Nfa::ClearFinal(StateId s) {
 void Nfa::AddTransition(StateId from, NfaTransition t) {
   assert(from < states_.size() && t.to < states_.size());
   assert(t.cost >= 0);
-  states_[from].out.push_back(t);
+  State& state = states_[from];
+  if (t.cost > 0) {
+    state.min_positive_move = std::min(state.min_positive_move, t.cost);
+  }
+  state.out.push_back(t);
 }
 
 void Nfa::AddEpsilon(StateId from, StateId to, Cost cost) {
@@ -114,9 +118,7 @@ Cost Nfa::MinPositiveCost() const {
     if (s.is_final && s.final_weight > 0) {
       best = std::min(best, s.final_weight);
     }
-    for (const NfaTransition& t : s.out) {
-      if (t.cost > 0) best = std::min(best, t.cost);
-    }
+    best = std::min(best, s.min_positive_move);
   }
   return best;
 }

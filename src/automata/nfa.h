@@ -80,6 +80,10 @@ class Nfa {
 
   std::span<const NfaTransition> Out(StateId s) const { return states_[s].out; }
 
+  /// c_min(s): the least positive cost of a transition leaving s
+  /// (kInfiniteCost if none) — the step of lazy Succ's deferred tuple.
+  Cost MinPositiveMove(StateId s) const { return states_[s].min_positive_move; }
+
   bool HasEpsilonTransitions() const;
 
   /// Orders each state's transitions so that SameNeighborGroup members are
@@ -111,6 +115,7 @@ class Nfa {
   struct State {
     bool is_final = false;
     Cost final_weight = 0;
+    Cost min_positive_move = kInfiniteCost;
     std::vector<NfaTransition> out;
   };
 

@@ -95,17 +95,6 @@ void ConjunctEvaluator::Open() {
   const Nfa& nfa = prepared_->nfa;
   const StateId s0 = nfa.initial();
 
-  if (options_.lazy_succ) {
-    min_positive_move_.assign(nfa.NumStates(), kInfiniteCost);
-    for (StateId s = 0; s < nfa.NumStates(); ++s) {
-      for (const NfaTransition& t : nfa.Out(s)) {
-        if (t.cost > 0 && t.cost < min_positive_move_[s]) {
-          min_positive_move_[s] = t.cost;
-        }
-      }
-    }
-  }
-
   target_is_constant_ = !prepared_->eval_target.is_variable;
   if (target_is_constant_) {
     target_node_ = graph_->FindNode(prepared_->eval_target.name);
@@ -163,13 +152,7 @@ void ConjunctEvaluator::Open() {
 
 void ConjunctEvaluator::AddTuple(const EvalTuple& tuple) {
   if (tuple.d > options_.max_distance) {
-    if (truncated_by_distance_) return;
-    if (over_ceiling_.size() == kMaxOverCeiling) {
-      truncated_by_distance_ = true;
-      over_ceiling_.clear();
-      return;
-    }
-    over_ceiling_.push_back(tuple);
+    if (!truncated_by_distance_) over_ceiling_.push_back(tuple);
     return;
   }
   dict_.Add(tuple);
@@ -332,7 +315,7 @@ void ConjunctEvaluator::ExpandTuple(const EvalTuple& tuple) {
   if (tuple.deferred) {
     // The twin's positive-cost moves, costed from the twin's distance. Moves
     // past the ceiling were already checked when the twin popped.
-    const Cost base = tuple.d - min_positive_move_[tuple.s];
+    const Cost base = tuple.d - nfa.MinPositiveMove(tuple.s);
     const Cost headroom = options_.max_distance - base;
     PushMoves(tuple, base,
               [headroom](Cost c) { return c > 0 && c <= headroom; });
@@ -350,7 +333,7 @@ void ConjunctEvaluator::ExpandTuple(const EvalTuple& tuple) {
     PushMoves(tuple, tuple.d, [this, headroom](Cost c) {
       return c == 0 || (c > headroom && !truncated_by_distance_);
     });
-    const Cost step = min_positive_move_[tuple.s];
+    const Cost step = nfa.MinPositiveMove(tuple.s);
     if (step < kInfiniteCost && step <= headroom) {
       AddTuple({tuple.v, tuple.n, tuple.s, tuple.d + step, false, true});
     }

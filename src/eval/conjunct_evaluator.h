@@ -81,14 +81,14 @@ class ConjunctEvaluator : public AnswerStream {
   /// distance level it was found at — i.e. a higher distance ceiling could
   /// still produce more answers. Judged at level ends, so the pop order
   /// among tuples of one distance (which lazy Succ changes) does not move
-  /// it; an evaluator stopped mid-level judges against what it has reached.
-  bool truncated_by_distance() const {
-    return truncated_by_distance_ || AnyOverCeilingUnreached();
-  }
+  /// it; read it once Next() has returned false.
+  bool truncated_by_distance() const { return truncated_by_distance_; }
 
-  /// Tuples held against the budget: D_R + visited set + answer map.
+  /// Tuples held against the budget: D_R + visited set + answer map + the
+  /// over-ceiling tuples awaiting their level's end.
   size_t live_tuples() const {
-    return dict_.size() + visited_.size() + answers_.size();
+    return dict_.size() + visited_.size() + answers_.size() +
+           over_ceiling_.size();
   }
   /// Replaces options.max_live_tuples (a dependent join hands each instance
   /// what is left of the one budget all its instances share).
@@ -155,9 +155,6 @@ class ConjunctEvaluator : public AnswerStream {
   FlatHashMap<uint64_t, Cost> answers_;
   std::unique_ptr<InitialNodeStream> stream_;
   std::vector<NodeId> scratch_neighbors_;
-  /// c_min(s) per state: the least positive move cost leaving s
-  /// (kInfiniteCost if none), the step of lazy Succ's deferred tuple.
-  std::vector<Cost> min_positive_move_;
 
   NodeId bound_source_ = kInvalidNode;  // per-binding instance seed
   std::optional<NodeId> source_node_;  // resolved constant source
@@ -165,9 +162,7 @@ class ConjunctEvaluator : public AnswerStream {
   bool target_is_constant_ = false;
 
   /// Over-ceiling tuples found while expanding tuples at distance level_,
-  /// judged (then cleared) once that level has drained. Past
-  /// kMaxOverCeiling of them the flag is set at once.
-  static constexpr size_t kMaxOverCeiling = 1024;
+  /// judged (then cleared) once that level has drained.
   std::vector<EvalTuple> over_ceiling_;
   Cost level_ = 0;  // distance of the last popped tuple
 

@@ -157,6 +157,9 @@ TEST(NfaTest, MinPositiveCost) {
   EXPECT_EQ(nfa.MinPositiveCost(), 2);
   nfa.MakeFinal(s1, 1);
   EXPECT_EQ(nfa.MinPositiveCost(), 1);
+  // Per state, moves only: a final weight is not a move.
+  EXPECT_EQ(nfa.MinPositiveMove(s0), 2);
+  EXPECT_EQ(nfa.MinPositiveMove(s1), kInfiniteCost);
 }
 
 TEST(NfaTest, SortGroupsSameNeighborTransitions) {
